@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "mel/mpi/counters.hpp"
-#include "mel/obs/json.hpp"
+#include "mel/obs/trace_reader.hpp"
 
 namespace mel::obs {
 
@@ -79,8 +79,10 @@ struct TraceStats {
   mpi::CommMatrix to_comm_matrix() const;
 };
 
-/// Parse + validate + roll up one Chrome trace document.
-TraceStats analyze_trace(const json::Value& root, int top_k = 10);
+/// Validate + roll up one Chrome trace document in a single streaming pass
+/// (obs::read_trace). Malformed JSON yields exactly one violation, the
+/// json::ParseError message with its byte offset. `top_k` <= 0 keeps no
+/// top spans.
 TraceStats analyze_trace_text(const std::string& text, int top_k = 10);
 TraceStats analyze_trace_file(const std::string& path, int top_k = 10);
 
@@ -101,7 +103,5 @@ std::string summarize_json(const TraceStats& s);
 /// per-class flow volume, matrix totals).
 std::string diff(const TraceStats& a, const TraceStats& b,
                  const std::string& label_a, const std::string& label_b);
-
-std::string read_file(const std::string& path);
 
 }  // namespace mel::obs

@@ -1,7 +1,8 @@
 // Minimal JSON support for the observability layer: escaping for every
-// string the trace/metrics writers emit, and a small recursive-descent
-// parser used by meltrace and the golden round-trip tests. No external
-// dependency — the container only has the C++ toolchain.
+// string the trace/metrics writers emit, a token-level Lexer, and a small
+// recursive-descent parser on top of it (trace headers, metrics JSONL,
+// mellint baselines). The streaming trace reader (trace_reader.hpp) uses
+// the same Lexer. No external dependency.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +62,95 @@ struct Value {
   std::int64_t as_int() const {
     return is_integer ? integer : static_cast<std::int64_t>(number);
   }
+};
+
+/// A number token as parse() reads it: the double value, plus the exact
+/// int64 when the token was integral and fits.
+struct Number {
+  double number = 0.0;
+  std::int64_t integer = 0;
+  bool is_integer = false;
+
+  std::int64_t as_int() const {
+    return is_integer ? integer : static_cast<std::int64_t>(number);
+  }
+};
+
+/// Token-level cursor over one JSON text, shared by parse() and the
+/// streaming trace reader so both accept exactly the same documents and
+/// decode strings identically. Every method throws ParseError (with the
+/// byte offset) on malformed input.
+class Lexer {
+ public:
+  explicit Lexer(std::string_view text) : text_(text) {}
+
+  [[noreturn]] void fail(const std::string& why) const;
+  void skip_ws();
+  /// Next byte (not consumed); fails at end of input.
+  char peek();
+  void expect(char c);
+  bool at_end() const { return pos_ >= text_.size(); }
+  std::size_t pos() const { return pos_; }
+  std::string_view text() const { return text_; }
+
+  /// Decoded string value. Escape-free strings come back as a view into
+  /// the text; otherwise the decoded bytes land in `scratch`.
+  std::string_view string(std::string& scratch);
+  Number number();
+  /// `true`, `false` or `null` (fails with "bad literal" otherwise).
+  void literal(std::string_view lit);
+
+  /// `{ "key": value, ... }`: calls `on_member(key)` once per member, in
+  /// order; the callback must consume the value. `key` is valid until the
+  /// callback returns.
+  template <typename OnMember>
+  void members(OnMember&& on_member) {
+    std::string key_buf;
+    expect('{');
+    skip_ws();
+    if (peek() == '}') {
+      ++pos_;
+      return;
+    }
+    for (;;) {
+      skip_ws();
+      const std::string_view key = string(key_buf);
+      skip_ws();
+      expect(':');
+      on_member(key);
+      skip_ws();
+      if (peek() != ',') break;
+      ++pos_;
+    }
+    expect('}');
+  }
+
+  /// `[ value, ... ]`: calls `on_element()` once per element, which must
+  /// consume it.
+  template <typename OnElement>
+  void elements(OnElement&& on_element) {
+    expect('[');
+    skip_ws();
+    if (peek() == ']') {
+      ++pos_;
+      return;
+    }
+    for (;;) {
+      on_element();
+      skip_ws();
+      if (peek() != ',') break;
+      ++pos_;
+    }
+    expect(']');
+  }
+
+  /// Validate one complete value without building it (iterative, so
+  /// nesting depth costs no stack).
+  void skip_value();
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
 };
 
 /// Parse one JSON document (throws ParseError on malformed input or

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
+#include <string_view>
+
+#include "mel/obs/trace_reader.hpp"
 
 namespace mel::obs {
 
@@ -59,7 +61,7 @@ Time ts_to_ns(double ts_us) {
   return static_cast<Time>(std::llround(ts_us * 1000.0));
 }
 
-/// Per-flow-id aggregation while walking the event array.
+/// Per-flow-id aggregation while streaming the event array.
 struct FlowAgg {
   std::uint64_t s_count = 0;
   std::uint64_t f_count = 0;
@@ -69,226 +71,224 @@ struct FlowAgg {
   std::string cls;
 };
 
-}  // namespace
+/// Consumes TraceEvent records in stream order and rolls them up; the
+/// violation strings and their order are part of the output contract.
+class Analyzer {
+ public:
+  Analyzer(TraceStats& out, int top_k)
+      : out_(out), top_k_(static_cast<std::size_t>(std::max(top_k, 0))) {}
 
-TraceStats analyze_trace(const json::Value& root, int top_k) {
-  TraceStats out;
-  auto err = [&out](std::string text) {
-    if (out.errors.size() < 64) out.errors.push_back(std::move(text));
-  };
-
-  if (!root.is_object()) {
-    err("root is not a JSON object");
-    return out;
-  }
-  const json::Value* events = root.find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    err("missing or non-array traceEvents");
-    return out;
-  }
-  if (const json::Value* other = root.find("otherData")) {
-    if (const json::Value* ranks = other->find("ranks")) {
-      if (ranks->is_number()) out.nranks = static_cast<int>(ranks->as_int());
-    }
-  }
-
-  std::map<std::uint64_t, FlowAgg> flows;
-  std::vector<std::pair<std::uint64_t, Time>> flow_refs;  // instants -> flows
-  bool first_ts = true;
-
-  for (std::size_t idx = 0; idx < events->array.size(); ++idx) {
-    const json::Value& e = events->array[idx];
-    auto where = [&idx] { return " (event " + std::to_string(idx) + ")"; };
-    if (!e.is_object()) {
+  void event(const TraceEvent& e) {
+    const auto where = [&e] {
+      return " (event " + std::to_string(e.index) + ")";
+    };
+    if (!e.is_object) {
       err("traceEvents entry is not an object" + where());
-      continue;
+      return;
     }
-    const json::Value* name = e.find("name");
-    const json::Value* ph = e.find("ph");
-    if (name == nullptr || !name->is_string() || ph == nullptr ||
-        !ph->is_string() || ph->string.size() != 1) {
+    if (!e.name.ok || !e.ph.ok || e.ph.value.size() != 1) {
       err("event without a string name/ph" + where());
-      continue;
+      return;
     }
-    const char p = ph->string[0];
-    static const std::string kKnown = "XistfCM";
-    if (kKnown.find(p) == std::string::npos) {
-      err("unknown phase '" + ph->string + "'" + where());
-      continue;
+    const char p = e.ph.value[0];
+    if (std::string_view("XistfCM").find(p) == std::string_view::npos) {
+      err("unknown phase '" + std::string(e.ph.value) + "'" + where());
+      return;
     }
-    out.events += 1;
-    if (p == 'M') continue;  // metadata: no timestamp requirements
+    out_.events += 1;
+    if (p == 'M') return;  // metadata: no timestamp requirements
 
-    const json::Value* ts = e.find("ts");
-    const json::Value* pid = e.find("pid");
-    const json::Value* tid = e.find("tid");
-    if (ts == nullptr || !ts->is_number() || pid == nullptr ||
-        !pid->is_number() || tid == nullptr || !tid->is_number()) {
+    if (!e.ts.ok || !e.pid.ok || !e.tid.ok) {
       err("event missing numeric ts/pid/tid" + where());
-      continue;
+      return;
     }
-    const Time t = ts_to_ns(ts->number);
-    const int rank = static_cast<int>(tid->as_int());
-    out.max_rank = std::max(out.max_rank, rank);
-    if (first_ts || t < out.ts_min_ns) out.ts_min_ns = t;
-    if (first_ts || t > out.ts_max_ns) out.ts_max_ns = t;
-    first_ts = false;
+    const Time t = ts_to_ns(e.ts.value.number);
+    const int rank = static_cast<int>(e.tid.value.as_int());
+    out_.max_rank = std::max(out_.max_rank, rank);
+    if (first_ts_ || t < out_.ts_min_ns) out_.ts_min_ns = t;
+    if (first_ts_ || t > out_.ts_max_ns) out_.ts_max_ns = t;
+    first_ts_ = false;
 
-    const json::Value* cat = e.find("cat");
-    const std::string category = cat != nullptr && cat->is_string()
-                                     ? cat->string
-                                     : std::string();
+    const std::string_view category = e.cat.ok ? e.cat.value : "";
+    key_.assign(e.name.value);
 
     if (p == 'X' || (p == 'i' && category == "op")) {
       Time dur = 0;
       if (p == 'X') {
-        const json::Value* d = e.find("dur");
-        if (d == nullptr || !d->is_number() || d->number < 0) {
+        if (!e.dur.ok || e.dur.value.number < 0) {
           err("X event without a non-negative dur" + where());
-          continue;
+          return;
         }
-        dur = ts_to_ns(d->number);
+        dur = ts_to_ns(e.dur.value.number);
       }
-      auto& roll = out.spans_by_category[name->string];
-      roll.count += 1;
-      roll.total_ns += dur;
-      roll.max_ns = std::max(roll.max_ns, dur);
-      auto& rroll = out.spans_by_rank[rank];
-      rroll.count += 1;
-      rroll.total_ns += dur;
-      rroll.max_ns = std::max(rroll.max_ns, dur);
-      out.top_spans.push_back({name->string, rank, t, dur});
-      continue;
+      roll_up(out_.spans_by_category[key_], dur);
+      roll_up(out_.spans_by_rank[rank], dur);
+      keep_if_top(e.index, rank, t, dur);
+      return;
     }
 
     if (p == 's' || p == 't' || p == 'f') {
-      const json::Value* id = e.find("id");
-      if (id == nullptr || !id->is_number()) {
+      if (!e.id.ok) {
         err("flow event without an id" + where());
-        continue;
+        return;
       }
-      auto& agg = flows[static_cast<std::uint64_t>(id->as_int())];
+      FlowAgg& agg = flows_[static_cast<std::uint64_t>(e.id.value.as_int())];
       if (p == 's') {
         agg.s_count += 1;
         agg.s_ts = t;
-        agg.cls = name->string;
-        if (const json::Value* args = e.find("args")) {
-          if (const json::Value* b = args->find("bytes")) {
-            if (b->is_number()) agg.bytes = static_cast<std::uint64_t>(b->as_int());
-          }
+        agg.cls = key_;
+        if (e.bytes.ok) {
+          agg.bytes = static_cast<std::uint64_t>(e.bytes.value.as_int());
         }
       } else if (p == 'f') {
         agg.f_count += 1;
         agg.f_ts = t;
       }
-      continue;
+      return;
     }
 
     if (p == 'C') {
-      const json::Value* args = e.find("args");
-      if (args == nullptr || !args->is_object() || args->object.empty() ||
-          !args->object.front().second.is_number()) {
+      if (!e.args_first_numeric) {
         err("C event without a numeric args value" + where());
-        continue;
+        return;
       }
-      out.counter_samples[name->string] += 1;
-      continue;
+      out_.counter_samples[key_] += 1;
+      return;
     }
 
     // Instants (non-"op"): faults, crashes, checkpoints, wire transfers.
     if (category == "wire") {
-      const json::Value* args = e.find("args");
-      const json::Value* src = args != nullptr ? args->find("src") : nullptr;
-      const json::Value* dst = args != nullptr ? args->find("dst") : nullptr;
-      const json::Value* bytes = args != nullptr ? args->find("bytes") : nullptr;
-      if (src == nullptr || !src->is_number() || dst == nullptr ||
-          !dst->is_number() || bytes == nullptr || !bytes->is_number()) {
+      if (!e.src.ok || !e.dst.ok || !e.bytes.ok) {
         err("wire event without numeric args src/dst/bytes" + where());
+        return;
+      }
+      auto& cell = out_.wire_matrix[{static_cast<int>(e.src.value.as_int()),
+                                     static_cast<int>(e.dst.value.as_int())}];
+      cell.msgs += 1;
+      cell.bytes += static_cast<std::uint64_t>(e.bytes.value.as_int());
+      return;
+    }
+    out_.instants_by_name[key_] += 1;
+    if (e.flow.ok) {
+      flow_refs_.push_back(static_cast<std::uint64_t>(e.flow.value.as_int()));
+    }
+  }
+
+  /// Flow-graph validation, per-class rollup and the top-k order.
+  void finish() {
+    for (const auto& [id, agg] : flows_) {
+      if (agg.s_count == 0) {
+        err("flow " + std::to_string(id) + " has steps/finish but no start");
         continue;
       }
-      auto& cell = out.wire_matrix[{static_cast<int>(src->as_int()),
-                                    static_cast<int>(dst->as_int())}];
-      cell.msgs += 1;
-      cell.bytes += static_cast<std::uint64_t>(bytes->as_int());
-      continue;
-    }
-    out.instants_by_name[name->string] += 1;
-    if (const json::Value* args = e.find("args")) {
-      if (const json::Value* flow = args->find("flow")) {
-        if (flow->is_number()) {
-          flow_refs.emplace_back(static_cast<std::uint64_t>(flow->as_int()), t);
+      if (agg.s_count > 1) {
+        err("flow " + std::to_string(id) + " has " +
+            std::to_string(agg.s_count) + " start events");
+      }
+      if (agg.f_count > 1) {
+        err("flow " + std::to_string(id) + " has " +
+            std::to_string(agg.f_count) + " finish events");
+      }
+      auto& roll = out_.flows_by_class[agg.cls];
+      roll.count += 1;
+      roll.bytes += agg.bytes;
+      if (agg.f_count >= 1) {
+        if (agg.f_ts < agg.s_ts) {
+          err("flow " + std::to_string(id) + " finishes at " +
+              std::to_string(agg.f_ts) + "ns before its start at " +
+              std::to_string(agg.s_ts) + "ns");
         }
+        roll.ended += 1;
+        roll.total_latency_ns += agg.f_ts - agg.s_ts;
+      } else {
+        out_.dangling_flows += 1;
       }
     }
+    if (out_.dangling_flows > 0) {
+      err(std::to_string(out_.dangling_flows) +
+          " dangling flow id(s): started but never finished");
+    }
+    for (const std::uint64_t id : flow_refs_) {
+      auto it = flows_.find(id);
+      if (id == 0 || it == flows_.end() || it->second.s_count == 0) {
+        err("instant references unknown flow id " + std::to_string(id));
+      }
+    }
+
+    std::sort_heap(top_.begin(), top_.end(), ranks_ahead);
+    out_.top_spans.reserve(top_.size());
+    for (Top& t : top_) out_.top_spans.push_back(std::move(t.span));
   }
 
-  // Flow-graph validation + per-class rollup.
-  for (const auto& [id, agg] : flows) {
-    if (agg.s_count == 0) {
-      err("flow " + std::to_string(id) + " has steps/finish but no start");
-      continue;
-    }
-    if (agg.s_count > 1) {
-      err("flow " + std::to_string(id) + " has " +
-          std::to_string(agg.s_count) + " start events");
-    }
-    if (agg.f_count > 1) {
-      err("flow " + std::to_string(id) + " has " +
-          std::to_string(agg.f_count) + " finish events");
-    }
-    auto& roll = out.flows_by_class[agg.cls];
+ private:
+  /// A top-k candidate; `seq` (the event index) breaks duration ties in
+  /// stream order, exactly as a stable sort by duration would.
+  struct Top {
+    std::size_t seq = 0;
+    TraceStats::TopSpan span;
+  };
+  static bool ranks_ahead(const Top& a, const Top& b) {
+    return a.span.dur_ns > b.span.dur_ns ||
+           (a.span.dur_ns == b.span.dur_ns && a.seq < b.seq);
+  }
+
+  void err(std::string text) {
+    if (out_.errors.size() < 64) out_.errors.push_back(std::move(text));
+  }
+
+  static void roll_up(TraceStats::CategoryRoll& roll, Time dur) {
     roll.count += 1;
-    roll.bytes += agg.bytes;
-    if (agg.f_count >= 1) {
-      if (agg.f_ts < agg.s_ts) {
-        err("flow " + std::to_string(id) + " finishes at " +
-            std::to_string(agg.f_ts) + "ns before its start at " +
-            std::to_string(agg.s_ts) + "ns");
-      }
-      roll.ended += 1;
-      roll.total_latency_ns += agg.f_ts - agg.s_ts;
-    } else {
-      out.dangling_flows += 1;
-    }
-  }
-  if (out.dangling_flows > 0) {
-    err(std::to_string(out.dangling_flows) +
-        " dangling flow id(s): started but never finished");
-  }
-  for (const auto& [id, t] : flow_refs) {
-    auto it = flows.find(id);
-    if (id == 0 || it == flows.end() || it->second.s_count == 0) {
-      err("instant references unknown flow id " + std::to_string(id));
-    }
+    roll.total_ns += dur;
+    roll.max_ns = std::max(roll.max_ns, dur);
   }
 
-  std::stable_sort(out.top_spans.begin(), out.top_spans.end(),
-                   [](const TraceStats::TopSpan& a,
-                      const TraceStats::TopSpan& b) {
-                     return a.dur_ns > b.dur_ns;
-                   });
-  if (static_cast<int>(out.top_spans.size()) > top_k) {
-    out.top_spans.resize(static_cast<std::size_t>(top_k));
+  /// Bounded top-k: a heap whose front is the candidate ranked last.
+  void keep_if_top(std::size_t seq, int rank, Time start, Time dur) {
+    if (top_k_ == 0) return;
+    if (top_.size() == top_k_) {
+      const TraceStats::TopSpan& worst = top_.front().span;
+      if (dur <= worst.dur_ns) return;  // equal durations: earlier wins
+      std::pop_heap(top_.begin(), top_.end(), ranks_ahead);
+      top_.pop_back();
+    }
+    top_.push_back(Top{seq, {key_, rank, start, dur}});
+    std::push_heap(top_.begin(), top_.end(), ranks_ahead);
   }
-  return out;
-}
+
+  TraceStats& out_;
+  std::size_t top_k_;
+  bool first_ts_ = true;
+  std::string key_;  // name of the current event
+  std::map<std::uint64_t, FlowAgg> flows_;
+  std::vector<std::uint64_t> flow_refs_;  // instants -> flows
+  std::vector<Top> top_;
+};
+
+}  // namespace
 
 TraceStats analyze_trace_text(const std::string& text, int top_k) {
+  TraceStats out;
+  Analyzer analyzer(out, top_k);
+  TraceDocument doc;
   try {
-    return analyze_trace(json::parse(text), top_k);
+    doc = read_trace(text,
+                     [&analyzer](const TraceEvent& e) { analyzer.event(e); });
   } catch (const json::ParseError& e) {
-    TraceStats out;
-    out.errors.push_back(e.what());
-    return out;
+    TraceStats bad;
+    bad.errors.push_back(e.what());
+    return bad;
   }
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  if (!doc.root_is_object || !doc.has_events) {
+    TraceStats bad;
+    bad.errors.push_back(doc.root_is_object ? "missing or non-array traceEvents"
+                                            : "root is not a JSON object");
+    return bad;
+  }
+  if (const json::Value* ranks = doc.other_data.find("ranks")) {
+    if (ranks->is_number()) out.nranks = static_cast<int>(ranks->as_int());
+  }
+  analyzer.finish();
+  return out;
 }
 
 TraceStats analyze_trace_file(const std::string& path, int top_k) {

@@ -35,70 +35,233 @@ std::string json_escape(std::string_view s) {
 
 namespace json {
 
+void Lexer::fail(const std::string& why) const {
+  throw ParseError("JSON parse error at byte " + std::to_string(pos_) + ": " +
+                   why);
+}
+
+void Lexer::skip_ws() {
+  while (pos_ < text_.size() &&
+         (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
+          text_[pos_] == '\r')) {
+    ++pos_;
+  }
+}
+
+char Lexer::peek() {
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  return text_[pos_];
+}
+
+void Lexer::expect(char c) {
+  if (peek() != c) fail(std::string("expected '") + c + "'");
+  ++pos_;
+}
+
+void Lexer::literal(std::string_view lit) {
+  if (text_.substr(pos_, lit.size()) != lit) fail("bad literal");
+  pos_ += lit.size();
+}
+
+std::string_view Lexer::string(std::string& scratch) {
+  expect('"');
+  // Fast path: a run of plain bytes closed by a quote is its own value.
+  const std::size_t begin = pos_;
+  std::size_t i = pos_;
+  while (i < text_.size() && text_[i] != '"' && text_[i] != '\\' &&
+         static_cast<unsigned char>(text_[i]) >= 0x20) {
+    ++i;
+  }
+  if (i < text_.size() && text_[i] == '"') {
+    pos_ = i + 1;
+    return text_.substr(begin, i - begin);
+  }
+  scratch.assign(text_.data() + begin, i - begin);
+  pos_ = i;
+  for (;;) {
+    if (pos_ >= text_.size()) fail("unterminated string");
+    const char c = text_[pos_++];
+    if (c == '"') return scratch;
+    if (static_cast<unsigned char>(c) < 0x20) {
+      fail("raw control character inside string (must be escaped)");
+    }
+    if (c != '\\') {
+      scratch += c;
+      continue;
+    }
+    if (pos_ >= text_.size()) fail("unterminated escape");
+    const char e = text_[pos_++];
+    switch (e) {
+      case '"': scratch += '"'; break;
+      case '\\': scratch += '\\'; break;
+      case '/': scratch += '/'; break;
+      case 'n': scratch += '\n'; break;
+      case 't': scratch += '\t'; break;
+      case 'r': scratch += '\r'; break;
+      case 'b': scratch += '\b'; break;
+      case 'f': scratch += '\f'; break;
+      case 'u': {
+        if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+        unsigned code = 0;
+        for (int k = 0; k < 4; ++k) {
+          const char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else fail("bad hex digit in \\u escape");
+        }
+        // The writers only emit \u00XX for control bytes; encode the
+        // general case as UTF-8 anyway so foreign traces parse.
+        if (code < 0x80) {
+          scratch += static_cast<char>(code);
+        } else if (code < 0x800) {
+          scratch += static_cast<char>(0xc0 | (code >> 6));
+          scratch += static_cast<char>(0x80 | (code & 0x3f));
+        } else {
+          scratch += static_cast<char>(0xe0 | (code >> 12));
+          scratch += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+          scratch += static_cast<char>(0x80 | (code & 0x3f));
+        }
+        break;
+      }
+      default: fail("unknown escape");
+    }
+  }
+}
+
+Number Lexer::number() {
+  const std::size_t start = pos_;
+  if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+  bool integral = true;
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (std::isdigit(static_cast<unsigned char>(c))) {
+      ++pos_;
+    } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
+      integral = false;
+      ++pos_;
+    } else {
+      break;
+    }
+  }
+  if (pos_ == start) fail("expected a value");
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  Number n;
+  if (integral) {
+    const auto res = std::from_chars(first, last, n.integer);
+    if (res.ec == std::errc{} && res.ptr == last) {
+      n.is_integer = true;
+      n.number = static_cast<double>(n.integer);
+      return n;
+    }
+    n.integer = 0;
+  }
+  // The token grammar is looser than JSON's ("1.2.3", "+5", "-"): those
+  // read as strtod's longest valid prefix. Whole-token decimals take the
+  // (equally correctly rounded) from_chars path.
+  const auto res = std::from_chars(first, last, n.number);
+  if (res.ec != std::errc{} || res.ptr != last) {
+    n.number = std::strtod(std::string(first, last).c_str(), nullptr);
+  }
+  return n;
+}
+
+void Lexer::skip_value() {
+  std::string closers;  // open containers, innermost last
+  std::string scratch;
+  for (;;) {
+    skip_ws();
+    switch (peek()) {
+      case '{':
+        ++pos_;
+        skip_ws();
+        if (peek() == '}') {
+          ++pos_;
+          break;
+        }
+        closers += '}';
+        skip_ws();
+        string(scratch);
+        skip_ws();
+        expect(':');
+        continue;  // the member's value
+      case '[':
+        ++pos_;
+        skip_ws();
+        if (peek() == ']') {
+          ++pos_;
+          break;
+        }
+        closers += ']';
+        continue;  // the first element
+      case '"': string(scratch); break;
+      case 't': literal("true"); break;
+      case 'f': literal("false"); break;
+      case 'n': literal("null"); break;
+      default: number();
+    }
+    // A value ended: close finished containers, or move to the next
+    // member/element.
+    for (;;) {
+      if (closers.empty()) return;
+      skip_ws();
+      if (peek() == ',') {
+        ++pos_;
+        if (closers.back() == '}') {
+          skip_ws();
+          string(scratch);
+          skip_ws();
+          expect(':');
+        }
+        break;
+      }
+      expect(closers.back());
+      closers.pop_back();
+    }
+  }
+}
+
 namespace {
 
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit Parser(std::string_view text) : lex_(text) {}
 
   Value run() {
     Value v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing garbage after JSON document");
+    lex_.skip_ws();
+    if (!lex_.at_end()) lex_.fail("trailing garbage after JSON document");
     return v;
   }
 
  private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw ParseError("JSON parse error at byte " + std::to_string(pos_) +
-                     ": " + why);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_lit(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
   Value value() {
-    skip_ws();
-    switch (peek()) {
+    lex_.skip_ws();
+    Value v;
+    switch (lex_.peek()) {
       case '{': return object();
       case '[': return array();
-      case '"': {
-        Value v;
+      case '"':
         v.kind = Value::Kind::kString;
-        v.string = string();
+        v.string = std::string(lex_.string(scratch_));
         return v;
-      }
       case 't':
-        if (!consume_lit("true")) fail("bad literal");
+        lex_.literal("true");
         return make_bool(true);
       case 'f':
-        if (!consume_lit("false")) fail("bad literal");
+        lex_.literal("false");
         return make_bool(false);
-      case 'n':
-        if (!consume_lit("null")) fail("bad literal");
-        return Value{};
-      default: return number();
+      case 'n': lex_.literal("null"); return v;
+      default: {
+        const Number n = lex_.number();
+        v.kind = Value::Kind::kNumber;
+        v.number = n.number;
+        v.integer = n.integer;
+        v.is_integer = n.is_integer;
+        return v;
+      }
     }
   }
 
@@ -110,140 +273,24 @@ class Parser {
   }
 
   Value object() {
-    expect('{');
     Value v;
     v.kind = Value::Kind::kObject;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key), value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  Value array() {
-    expect('[');
-    Value v;
-    v.kind = Value::Kind::kArray;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("raw control character inside string (must be escaped)");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad hex digit in \\u escape");
-          }
-          // The writers only emit \u00XX for control bytes; encode the
-          // general case as UTF-8 anyway so foreign traces parse.
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xc0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-          } else {
-            out += static_cast<char>(0xe0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-          }
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  Value number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool integral = true;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        integral = false;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) fail("expected a value");
-    const std::string_view tok = text_.substr(start, pos_ - start);
-    Value v;
-    v.kind = Value::Kind::kNumber;
-    if (integral) {
-      const auto res =
-          std::from_chars(tok.data(), tok.data() + tok.size(), v.integer);
-      if (res.ec == std::errc{} && res.ptr == tok.data() + tok.size()) {
-        v.is_integer = true;
-        v.number = static_cast<double>(v.integer);
-        return v;
-      }
-    }
-    v.number = std::strtod(std::string(tok).c_str(), nullptr);
+    lex_.members([&](std::string_view key) {
+      std::string k(key);
+      v.object.emplace_back(std::move(k), value());
+    });
     return v;
   }
 
-  std::string_view text_;
-  std::size_t pos_ = 0;
+  Value array() {
+    Value v;
+    v.kind = Value::Kind::kArray;
+    lex_.elements([&] { v.array.push_back(value()); });
+    return v;
+  }
+
+  Lexer lex_;
+  std::string scratch_;
 };
 
 }  // namespace

@@ -182,6 +182,51 @@ TEST(ObsTrace, CheckpointsAndCrashesAppearAsInstants) {
   EXPECT_TRUE(stats.instants_by_name.count("rank-crash"));
 }
 
+TEST(ObsTrace, RunMatchTimelineHasCollectiveAndComputeSpans) {
+  const auto g = gen::erdos_renyi(200, 1200, 3);
+  Recorder rec;
+  match::RunConfig cfg;
+  cfg.tracer = &rec;
+  (void)match::run_match(g, 4, match::Model::kNcl, cfg);
+  ASSERT_FALSE(rec.spans().empty());
+  bool saw_ncoll = false, saw_compute = false, saw_allreduce = false;
+  for (const auto& s : rec.spans()) {
+    EXPECT_LE(s.start, s.end);
+    EXPECT_GE(s.rank, 0);
+    EXPECT_LT(s.rank, 4);
+    saw_ncoll |= std::string(s.category) == "ncoll";
+    saw_compute |= std::string(s.category) == "compute";
+    saw_allreduce |= std::string(s.category) == "allreduce";
+  }
+  EXPECT_TRUE(saw_ncoll);
+  EXPECT_TRUE(saw_compute);
+  EXPECT_TRUE(saw_allreduce);
+  // The same timeline survives the trace file: every span category
+  // reaches the analyzer's rollup.
+  const TraceStats stats = analyze_trace_text(rec.to_chrome_json());
+  EXPECT_TRUE(stats.errors.empty());
+  EXPECT_TRUE(stats.spans_by_category.count("ncoll"));
+  EXPECT_TRUE(stats.spans_by_category.count("compute"));
+  EXPECT_TRUE(stats.spans_by_category.count("allreduce"));
+}
+
+TEST(ObsTrace, EscapedCategoryRoundTripsThroughAnalyzer) {
+  const char* weird = "weird\"cat\\name\n";
+  Recorder rec;
+  rec.record(0, weird, 0, 100);
+  rec.record(1, weird, 50, 50);  // zero-length: exported as an instant
+  const std::string json = rec.to_chrome_json();
+  EXPECT_NE(json.find("weird\\\"cat\\\\name\\n"), std::string::npos);
+  const TraceStats stats = analyze_trace_text(json);
+  EXPECT_TRUE(stats.errors.empty())
+      << (stats.errors.empty() ? "" : stats.errors.front());
+  ASSERT_EQ(stats.spans_by_category.count(weird), 1u);
+  EXPECT_EQ(stats.spans_by_category.at(weird).count, 2u);
+  EXPECT_EQ(stats.spans_by_category.at(weird).total_ns, 100);
+  ASSERT_FALSE(stats.top_spans.empty());
+  EXPECT_EQ(stats.top_spans.front().category, weird);
+}
+
 TEST(ObsValidate, CatchesCorruptTraces) {
   // Dangling flow: started, never finished.
   const std::string dangling =

@@ -7,7 +7,11 @@
 #   * `replay` with no --set is a fidelity self-check (exit 0 and says
 #     "fidelity exact") for NSR, RMA, and NCL traces,
 #   * `replay --set` rejects unknown parameters (exit 2) and accepts
-#     LogGP aliases (net.L_intra).
+#     LogGP aliases (net.L_intra),
+#   * a malformed trace (truncated, or with trailing garbage) fails every
+#     subcommand with the named parse error: `validate` exits 1, `replay`
+#     and `critical` exit 2,
+#   * `--top K` must be a positive integer (exit 2 + usage pointer).
 # Invoked with -DMELSIM=<path> -DMELTRACE=<path>.
 if(NOT DEFINED MELSIM OR NOT DEFINED MELTRACE)
   message(FATAL_ERROR "pass -DMELSIM=<melsim binary> -DMELTRACE=<meltrace binary>")
@@ -56,6 +60,22 @@ function(run_rejected label)
     ERROR_VARIABLE err)
   if(NOT code EQUAL 2)
     message(FATAL_ERROR "${label}: expected exit 2, got ${code}: ${out}${err}")
+  endif()
+endfunction()
+
+function(run_fails label expect_code expect_msg)
+  execute_process(
+    COMMAND ${MELTRACE} ${ARGN}
+    RESULT_VARIABLE code
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT code EQUAL ${expect_code})
+    message(FATAL_ERROR
+      "${label}: expected exit ${expect_code}, got ${code}: ${out}${err}")
+  endif()
+  if(NOT "${out}${err}" MATCHES "${expect_msg}")
+    message(FATAL_ERROR
+      "${label}: output missing '${expect_msg}':\n${out}${err}")
   endif()
 endfunction()
 
@@ -119,3 +139,38 @@ run_rejected("replay nonexistent file" replay ${workdir}/no-such.json)
 file(WRITE ${workdir}/bare.json "{\"traceEvents\":[]}")
 run_rejected("replay schema-less trace" replay ${workdir}/bare.json)
 run_rejected("critical schema-less trace" critical ${workdir}/bare.json)
+
+# Malformed traces: every subcommand goes through the one streaming
+# reader, which is exactly as strict as a full JSON parse. A truncated
+# file and a file with trailing garbage both fail with the named error.
+file(READ ${nsr} nsr_text)
+string(LENGTH "${nsr_text}" nsr_len)
+math(EXPR cut "${nsr_len} / 2")
+string(SUBSTRING "${nsr_text}" 0 ${cut} truncated_text)
+file(WRITE ${workdir}/truncated.json "${truncated_text}")
+file(WRITE ${workdir}/garbage.json "${nsr_text}garbage}")
+foreach(bad truncated garbage)
+  set(f ${workdir}/${bad}.json)
+  run_fails("validate ${bad}" 1 "JSON parse error at byte" validate ${f})
+  run_fails("replay ${bad}" 2 "JSON parse error at byte" replay ${f})
+  run_fails("critical ${bad}" 2 "JSON parse error at byte" critical ${f})
+  run_fails("summarize ${bad}" 0 "JSON parse error at byte" summarize ${f})
+endforeach()
+run_fails("garbage offset" 2 "at byte ${nsr_len}: trailing garbage"
+          replay ${workdir}/garbage.json)
+# A path that is not a regular file is an input error, not a parse error.
+run_fails("validate a directory" 2 "cannot read" validate ${workdir})
+
+# --top K is validated when the arguments are parsed, before the trace
+# is read: a positive integer, else exit 2 with a usage pointer.
+set(top_err "--top: expected a positive integer.*meltrace help")
+foreach(k -1 0 abc 3x)
+  run_fails("summarize --top '${k}'" 2 "${top_err}"
+            summarize ${nsr} --top "${k}")
+  run_fails("critical --top '${k}'" 2 "${top_err}"
+            critical ${nsr} --top "${k}")
+endforeach()
+run_fails("summarize --top too large" 2 "${top_err}"
+          summarize ${nsr} --top 99999999999)
+run_ok("summarize --top 1" "longest operations" summarize ${nsr} --top 1)
+run_ok("critical --top 1" "class breakdown" critical ${nsr} --top 1)

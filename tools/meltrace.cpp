@@ -7,6 +7,12 @@
 //   meltrace replay run.trace.json [--set net.KEY=VALUE ...] [--json]
 //   meltrace critical run.trace.json [--top K] [--json]
 //
+// Every subcommand reads the trace through the one streaming reader
+// (obs::read_trace): a single pass over one exactly sized file buffer, no
+// DOM of the event array, and exactly json::parse's strictness — a
+// malformed document makes `validate` exit 1 and every other subcommand
+// exit 2 with the parse error and its byte offset.
+//
 // `validate` exits nonzero on any schema violation or dangling flow id,
 // so CI can pipe melsim output straight through it. `matrix` prints the
 // comm matrix reconstructed from the trace's wire events in exactly the
@@ -24,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -45,6 +52,8 @@ void print_usage(std::FILE* out) {
                "JSONL) schema; exit 1 on violations\n"
                "  summarize TRACE [--top K] [--json]  per-category/per-rank "
                "rollups, flow latencies, top-K longest ops\n"
+               "                                    (K: positive integer, "
+               "default 10)\n"
                "  matrix TRACE                      comm matrix reconstructed "
                "from wire events, as canonical JSON\n"
                "  diff A B                          compare two traces "
@@ -58,6 +67,20 @@ void print_usage(std::FILE* out) {
                "attribution (compute / overhead /\n"
                "                                    latency / bandwidth / "
                "ack-wait / barrier-wait per rank)\n");
+}
+
+/// Parse --top K: a positive integer, checked before any trace is read.
+/// Anything else is a usage error (main() maps it to exit 2).
+int parse_top(const std::string& text) {
+  char* end = nullptr;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || end != text.c_str() + text.size() || v < 1 ||
+      v > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(
+        "--top: expected a positive integer, got \"" + text +
+        "\" (run `meltrace help` for usage)");
+  }
+  return static_cast<int>(v);
 }
 
 int cmd_validate(const std::vector<std::string>& args) {
@@ -110,7 +133,7 @@ int cmd_summarize(const std::vector<std::string>& args) {
   bool as_json = false;
   for (std::size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--top" && i + 1 < args.size()) {
-      top_k = std::atoi(args[++i].c_str());
+      top_k = parse_top(args[++i]);
     } else if (args[i] == "--json") {
       as_json = true;
     } else {
@@ -287,7 +310,7 @@ int cmd_critical(const std::vector<std::string>& args) {
   bool as_json = false;
   for (std::size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--top" && i + 1 < args.size()) {
-      top_k = std::atoi(args[++i].c_str());
+      top_k = parse_top(args[++i]);
     } else if (args[i] == "--json") {
       as_json = true;
     } else {
