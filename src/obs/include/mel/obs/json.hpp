@@ -82,6 +82,10 @@ struct Number {
 /// byte offset) on malformed input.
 class Lexer {
  public:
+  /// Deepest container nesting accepted; one level deeper fails with
+  /// "nesting too deep" (json::parse recurses once per level).
+  static constexpr std::size_t kMaxDepth = 512;
+
   explicit Lexer(std::string_view text) : text_(text) {}
 
   [[noreturn]] void fail(const std::string& why) const;
@@ -96,6 +100,8 @@ class Lexer {
   /// Decoded string value. Escape-free strings come back as a view into
   /// the text; otherwise the decoded bytes land in `scratch`.
   std::string_view string(std::string& scratch);
+  /// A number in the JSON grammar; anything else ("1.2.3", "+0", "-",
+  /// "1e", "01") fails with "malformed number" at the offending byte.
   Number number();
   /// `true`, `false` or `null` (fails with "bad literal" otherwise).
   void literal(std::string_view lit);
@@ -106,10 +112,11 @@ class Lexer {
   template <typename OnMember>
   void members(OnMember&& on_member) {
     std::string key_buf;
-    expect('{');
+    open('{');
     skip_ws();
     if (peek() == '}') {
       ++pos_;
+      --depth_;
       return;
     }
     for (;;) {
@@ -123,16 +130,18 @@ class Lexer {
       ++pos_;
     }
     expect('}');
+    --depth_;
   }
 
   /// `[ value, ... ]`: calls `on_element()` once per element, which must
   /// consume it.
   template <typename OnElement>
   void elements(OnElement&& on_element) {
-    expect('[');
+    open('[');
     skip_ws();
     if (peek() == ']') {
       ++pos_;
+      --depth_;
       return;
     }
     for (;;) {
@@ -142,15 +151,20 @@ class Lexer {
       ++pos_;
     }
     expect(']');
+    --depth_;
   }
 
   /// Validate one complete value without building it (iterative, so
-  /// nesting depth costs no stack).
+  /// nesting depth costs no stack; the kMaxDepth limit still applies).
   void skip_value();
 
  private:
+  /// Consumes the container opener `c`, one level deeper.
+  void open(char c);
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // containers opened by members()/elements()
 };
 
 /// Parse one JSON document (throws ParseError on malformed input or

@@ -11,6 +11,11 @@
 //     record per counter sample, backend iteration, instant, and run
 //     summary. Integer-only payload fields, so identical runs produce
 //     bit-identical files (the telemetry determinism tests pin this).
+//
+// Both artifacts come out of one streaming serializer: records are
+// formatted straight into a bounded buffer that is flushed to the file
+// (or, for to_chrome_json/metrics_jsonl, to a string) as it fills, so
+// writing a trace never holds the whole document in memory.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +33,15 @@ using sim::Rank;
 using sim::Time;
 
 const char* channel_name(Channel ch);
+
+/// Room format_us needs at `out`.
+inline constexpr std::size_t kMaxUsChars = 32;
+/// Writes virtual nanoseconds as the microseconds Chrome/Perfetto expect,
+/// byte-identical to printf("%.3f", ns / 1e3) (so deterministic across
+/// runs), and returns the end of what it wrote (no terminating NUL).
+char* format_us(char* out, Time ns);
+
+class Emitter;  // the bounded-buffer serializer (recorder.cpp)
 
 class Recorder final : public mpi::Tracer {
  public:
@@ -130,6 +144,8 @@ class Recorder final : public mpi::Tracer {
 
  private:
   Flow* find_flow(FlowId id);
+  void emit_chrome(Emitter& out) const;
+  void emit_metrics(Emitter& out) const;
 
   std::vector<Span> spans_;
   std::vector<Flow> flows_;  // flows_[id - 1]: ids are assigned sequentially

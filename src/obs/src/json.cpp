@@ -1,6 +1,5 @@
 #include "mel/obs/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -130,40 +129,68 @@ std::string_view Lexer::string(std::string& scratch) {
   }
 }
 
+void Lexer::open(char c) {
+  if (depth_ == kMaxDepth) fail("nesting too deep");
+  expect(c);
+  ++depth_;
+}
+
 Number Lexer::number() {
+  // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and the next byte must
+  // not continue the token: "1.2.3", "01", "+0", "-" and "1e" fail at the
+  // byte that breaks the grammar.
   const std::size_t start = pos_;
-  if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-  bool integral = true;
-  while (pos_ < text_.size()) {
-    const char c = text_[pos_];
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      ++pos_;
-    } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-      integral = false;
-      ++pos_;
-    } else {
-      break;
-    }
+  const auto byte = [this] {
+    return pos_ < text_.size() ? text_[pos_] : '\0';
+  };
+  const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
+  const auto digits = [&] {
+    if (!is_digit(byte())) fail("malformed number");
+    do ++pos_;
+    while (is_digit(byte()));
+  };
+  if (byte() == '-') ++pos_;
+  char c = byte();
+  if (c == '0') {
+    ++pos_;
+  } else if (pos_ == start && !is_digit(c) && c != '+' && c != '.' &&
+             c != 'e' && c != 'E') {
+    fail("expected a value");
+  } else {
+    digits();
   }
-  if (pos_ == start) fail("expected a value");
+  bool integral = true;
+  if (byte() == '.') {
+    integral = false;
+    ++pos_;
+    digits();
+  }
+  c = byte();
+  if (c == 'e' || c == 'E') {
+    integral = false;
+    ++pos_;
+    c = byte();
+    if (c == '+' || c == '-') ++pos_;
+    digits();
+  }
+  c = byte();
+  if (is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' ||
+      c == '-') {
+    fail("malformed number");
+  }
   const char* first = text_.data() + start;
   const char* last = text_.data() + pos_;
   Number n;
   if (integral) {
-    const auto res = std::from_chars(first, last, n.integer);
-    if (res.ec == std::errc{} && res.ptr == last) {
+    if (std::from_chars(first, last, n.integer).ec == std::errc{}) {
       n.is_integer = true;
       n.number = static_cast<double>(n.integer);
       return n;
     }
-    n.integer = 0;
+    n.integer = 0;  // beyond int64: read as a double below
   }
-  // The token grammar is looser than JSON's ("1.2.3", "+5", "-"): those
-  // read as strtod's longest valid prefix. Whole-token decimals take the
-  // (equally correctly rounded) from_chars path.
-  const auto res = std::from_chars(first, last, n.number);
-  if (res.ec != std::errc{} || res.ptr != last) {
-    n.number = std::strtod(std::string(first, last).c_str(), nullptr);
+  if (std::from_chars(first, last, n.number).ec != std::errc{}) {
+    n.number = std::strtod(std::string(first, last).c_str(), nullptr);  // +-inf
   }
   return n;
 }
@@ -175,6 +202,7 @@ void Lexer::skip_value() {
     skip_ws();
     switch (peek()) {
       case '{':
+        if (depth_ + closers.size() == kMaxDepth) fail("nesting too deep");
         ++pos_;
         skip_ws();
         if (peek() == '}') {
@@ -188,6 +216,7 @@ void Lexer::skip_value() {
         expect(':');
         continue;  // the member's value
       case '[':
+        if (depth_ + closers.size() == kMaxDepth) fail("nesting too deep");
         ++pos_;
         skip_ws();
         if (peek() == ']') {

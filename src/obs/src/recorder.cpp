@@ -1,9 +1,12 @@
 #include "mel/obs/recorder.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <cstring>
+#include <functional>
+#include <memory>
 #include <stdexcept>
+#include <string_view>
 
 #include "mel/net/params_io.hpp"
 #include "mel/obs/json.hpp"
@@ -123,58 +126,158 @@ void Recorder::set_net_params(const net::Params& params) {
   has_net_params_ = true;
 }
 
-namespace {
-
-/// Virtual nanoseconds -> the microsecond floats Chrome/Perfetto expect.
-/// %.3f of an integer-derived value is deterministic across runs.
-void append_ts(std::string& out, const char* key, Time ns) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "\"%s\":%.3f", key,
-                static_cast<double>(ns) / 1e3);
-  out += buf;
+char* format_us(char* out, Time ns) {
+  // Below 2^50 ns the double ns/1e3 lies within 2^-13 of the exact
+  // three-decimal value, so %.3f always rounds back to it: print the
+  // integer microseconds and the three sub-microsecond digits instead.
+  constexpr Time kExact = Time{1} << 50;
+  if (ns <= -kExact || ns >= kExact) {
+    const int n = std::snprintf(out, kMaxUsChars, "%.3f",
+                                static_cast<double>(ns) / 1e3);
+    return out + n;
+  }
+  if (ns < 0) *out++ = '-';
+  const auto u = static_cast<std::uint64_t>(ns < 0 ? -ns : ns);
+  out = std::to_chars(out, out + 20, u / 1000).ptr;
+  const auto frac = static_cast<unsigned>(u % 1000);
+  out[0] = '.';
+  out[1] = static_cast<char>('0' + frac / 100);
+  out[2] = static_cast<char>('0' + frac / 10 % 10);
+  out[3] = static_cast<char>('0' + frac % 10);
+  return out + 4;
 }
 
-void append_common(std::string& out, const char* name, const char* cat,
-                   char ph, Time ts, Rank tid) {
-  out += "{\"name\":\"";
-  out += json_escape(name);
-  out += "\",\"cat\":\"";
-  out += cat;
-  out += "\",\"ph\":\"";
-  out += ph;
-  out += "\",";
-  append_ts(out, "ts", ts);
-  out += ",\"pid\":0,\"tid\":" + std::to_string(tid);
+/// The one serializer behind both artifacts and both destinations. Bytes
+/// go into a fixed block that is handed to the sink each time it fills
+/// and once at finish(). Plain names and numbers are written straight
+/// into the block, so a record allocates nothing and no output is ever
+/// held whole.
+class Emitter {
+ public:
+  using Sink = std::function<void(const char*, std::size_t)>;
+  static constexpr std::size_t kCapacity = std::size_t{1} << 20;
+
+  explicit Emitter(Sink sink)
+      : buf_(new char[kCapacity]), sink_(std::move(sink)) {}
+
+  void raw(std::string_view s) {
+    if (kCapacity - pos_ < s.size()) {
+      flush();
+      if (s.size() > kCapacity) {
+        sink_(s.data(), s.size());
+        return;
+      }
+    }
+    std::memcpy(buf_.get() + pos_, s.data(), s.size());
+    pos_ += s.size();
+  }
+
+  void ch(char c) { *room(1) = c; ++pos_; }
+
+  template <typename Int>
+  void integer(Int v) {
+    char* p = room(24);
+    pos_ = static_cast<std::size_t>(std::to_chars(p, p + 24, v).ptr -
+                                    buf_.get());
+  }
+
+  /// Virtual nanoseconds as the microseconds Chrome/Perfetto expect.
+  void us(Time ns) {
+    pos_ = static_cast<std::size_t>(format_us(room(kMaxUsChars), ns) -
+                                    buf_.get());
+  }
+
+  /// "0x" and 16 lowercase hex digits.
+  void hex(std::uint64_t v) {
+    std::snprintf(room(19), 19, "0x%016llx",
+                  static_cast<unsigned long long>(v));
+    pos_ += 18;
+  }
+
+  /// `s` as the inside of a JSON string literal. Recorded names are
+  /// plain in practice and are copied as they are; from the first byte
+  /// that needs escaping on, json_escape does the work.
+  void escaped(std::string_view s) {
+    std::size_t plain = 0;
+    while (plain < s.size() && s[plain] != '"' && s[plain] != '\\' &&
+           static_cast<unsigned char>(s[plain]) >= 0x20) {
+      ++plain;
+    }
+    raw(s.substr(0, plain));
+    if (plain < s.size()) raw(json_escape(s.substr(plain)));
+  }
+
+  void finish() { flush(); }
+
+ private:
+  char* room(std::size_t n) {
+    if (kCapacity - pos_ < n) flush();
+    return buf_.get() + pos_;
+  }
+
+  void flush() {
+    if (pos_ != 0) sink_(buf_.get(), pos_);
+    pos_ = 0;
+  }
+
+  std::unique_ptr<char[]> buf_;
+  std::size_t pos_ = 0;
+  Sink sink_;
+};
+
+namespace {
+
+/// Everything after the event name shared by every trace event:
+/// `","cat":"<cat>","ph":"<ph>","ts":<ts>,"pid":0,"tid":<tid>`.
+void event_fields(Emitter& out, const char* cat, char ph, Time ts, Rank tid) {
+  out.raw("\",\"cat\":\"");
+  out.raw(cat);
+  out.raw("\",\"ph\":\"");
+  out.ch(ph);
+  out.raw("\",\"ts\":");
+  out.us(ts);
+  out.raw(",\"pid\":0,\"tid\":");
+  out.integer(tid);
+}
+
+void event_head(Emitter& out, const char* name, const char* cat, char ph,
+                Time ts, Rank tid) {
+  out.raw("{\"name\":\"");
+  out.escaped(name);
+  event_fields(out, cat, ph, ts, tid);
 }
 
 }  // namespace
 
-std::string Recorder::to_chrome_json() const {
-  std::string out = "{\"traceEvents\":[";
+void Recorder::emit_chrome(Emitter& out) const {
+  out.raw("{\"traceEvents\":[");
   bool first = true;
   auto sep = [&first, &out] {
-    if (!first) out += ",\n";
+    if (!first) out.raw(",\n");
     first = false;
   };
 
   if (has_run_info_) {
     sep();
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":"
-           "{\"name\":\"melsim " +
-           json_escape(algo_) + " " + json_escape(model_) + "\"}}";
+    out.raw("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":"
+            "{\"name\":\"melsim ");
+    out.escaped(algo_);
+    out.ch(' ');
+    out.escaped(model_);
+    out.raw("\"}}");
   }
 
   for (const Span& s : spans_) {
     sep();
     if (s.end > s.start) {
-      append_common(out, s.category, "op", 'X', s.start, s.rank);
-      out += ",";
-      append_ts(out, "dur", s.end - s.start);
-      out += "}";
+      event_head(out, s.category, "op", 'X', s.start, s.rank);
+      out.raw(",\"dur\":");
+      out.us(s.end - s.start);
+      out.ch('}');
     } else {
       // Zero-duration operation: visible as a thin instant marker.
-      append_common(out, s.category, "op", 'i', s.start, s.rank);
-      out += ",\"s\":\"t\"}";
+      event_head(out, s.category, "op", 'i', s.start, s.rank);
+      out.raw(",\"s\":\"t\"}");
     }
   }
 
@@ -182,71 +285,103 @@ std::string Recorder::to_chrome_json() const {
     if (f.id == 0) continue;  // dead padding slot
     const char* name = channel_name(f.channel);
     sep();
-    append_common(out, name, "flow", 's', f.begin_t, f.src);
-    out += ",\"id\":" + std::to_string(f.id);
-    out += ",\"args\":{\"src\":" + std::to_string(f.src) +
-           ",\"dst\":" + std::to_string(f.dst) +
-           ",\"tag\":" + std::to_string(f.tag) +
-           ",\"bytes\":" + std::to_string(f.bytes) + "}}";
+    event_head(out, name, "flow", 's', f.begin_t, f.src);
+    out.raw(",\"id\":");
+    out.integer(f.id);
+    out.raw(",\"args\":{\"src\":");
+    out.integer(f.src);
+    out.raw(",\"dst\":");
+    out.integer(f.dst);
+    out.raw(",\"tag\":");
+    out.integer(f.tag);
+    out.raw(",\"bytes\":");
+    out.integer(f.bytes);
+    out.raw("}}");
     if (f.has_step) {
       sep();
-      append_common(out, name, "flow", 't', f.step_t, f.dst);
-      out += ",\"id\":" + std::to_string(f.id) + "}";
+      event_head(out, name, "flow", 't', f.step_t, f.dst);
+      out.raw(",\"id\":");
+      out.integer(f.id);
+      out.ch('}');
     }
     if (f.ended) {
       sep();
-      append_common(out, name, "flow", 'f', f.end_t, f.end_rank);
-      out += ",\"bp\":\"e\",\"id\":" + std::to_string(f.id) + "}";
+      event_head(out, name, "flow", 'f', f.end_t, f.end_rank);
+      out.raw(",\"bp\":\"e\",\"id\":");
+      out.integer(f.id);
+      out.ch('}');
     }
   }
 
   for (const Instant& i : instants_) {
     sep();
-    append_common(out, i.name, "instant", 'i', i.t, i.rank);
-    out += ",\"s\":\"t\"";
+    event_head(out, i.name, "instant", 'i', i.t, i.rank);
+    out.raw(",\"s\":\"t\"");
     if (i.flow != 0) {
-      out += ",\"args\":{\"flow\":" + std::to_string(i.flow) + "}";
+      out.raw(",\"args\":{\"flow\":");
+      out.integer(i.flow);
+      out.ch('}');
     }
-    out += "}";
+    out.ch('}');
   }
 
   for (const Wire& w : wires_) {
     sep();
-    append_common(out, "wire", "wire", 'i', w.t, w.src);
-    out += ",\"s\":\"t\",\"args\":{\"src\":" + std::to_string(w.src) +
-           ",\"dst\":" + std::to_string(w.dst) +
-           ",\"bytes\":" + std::to_string(w.bytes) + "}}";
+    event_head(out, "wire", "wire", 'i', w.t, w.src);
+    out.raw(",\"s\":\"t\",\"args\":{\"src\":");
+    out.integer(w.src);
+    out.raw(",\"dst\":");
+    out.integer(w.dst);
+    out.raw(",\"bytes\":");
+    out.integer(w.bytes);
+    out.raw("}}");
   }
 
   for (const Sample& s : samples_) {
     // One counter track per (rank, gauge): "r<rank>/<name>"; machine-wide
     // gauges (rank -1) live under "sim/".
-    std::string track = s.rank < 0 ? std::string("sim/")
-                                   : "r" + std::to_string(s.rank) + "/";
-    track += s.name;
     sep();
-    append_common(out, track.c_str(), "counter", 'C', s.t,
-                  s.rank < 0 ? 0 : s.rank);
-    out += ",\"args\":{\"value\":" + std::to_string(s.value) + "}}";
+    out.raw("{\"name\":\"");
+    if (s.rank < 0) {
+      out.raw("sim/");
+    } else {
+      out.ch('r');
+      out.integer(s.rank);
+      out.ch('/');
+    }
+    out.escaped(s.name);
+    event_fields(out, "counter", 'C', s.t, s.rank < 0 ? 0 : s.rank);
+    out.raw(",\"args\":{\"value\":");
+    out.integer(s.value);
+    out.raw("}}");
   }
 
   for (const Iteration& it : iterations_) {
     sep();
-    append_common(out, "iteration", "iter", 'i', it.t, it.rank);
-    out += ",\"s\":\"t\",\"args\":{\"iter\":" + std::to_string(it.iter) +
-           ",\"active\":" + std::to_string(it.active) + "}}";
+    event_head(out, "iteration", "iter", 'i', it.t, it.rank);
+    out.raw(",\"s\":\"t\",\"args\":{\"iter\":");
+    out.integer(it.iter);
+    out.raw(",\"active\":");
+    out.integer(it.active);
+    out.raw("}}");
   }
 
-  out += "],\"displayTimeUnit\":\"ns\"";
+  out.raw("],\"displayTimeUnit\":\"ns\"");
   if (has_run_info_) {
-    out += ",\"otherData\":{\"schema\":\"";
-    out += kTraceSchema;
-    out += "\",\"algo\":\"" + json_escape(algo_) + "\",\"model\":\"" +
-           json_escape(model_) + "\",\"ranks\":" + std::to_string(nranks_) +
-           ",\"seed\":" + std::to_string(seed_);
+    out.raw(",\"otherData\":{\"schema\":\"");
+    out.raw(kTraceSchema);
+    out.raw("\",\"algo\":\"");
+    out.escaped(algo_);
+    out.raw("\",\"model\":\"");
+    out.escaped(model_);
+    out.raw("\",\"ranks\":");
+    out.integer(nranks_);
+    out.raw(",\"seed\":");
+    out.integer(seed_);
     if (has_net_params_) {
       const std::string net_json = net::params_to_json(net_params_);
-      out += ",\"net\":" + net_json;
+      out.raw(",\"net\":");
+      out.raw(net_json);
       // Run-configuration digest: FNV-1a over everything that shaped the
       // pricing, so two traces with equal digests were priced under an
       // identical configuration (the replay fidelity gate keys on this).
@@ -264,84 +399,141 @@ std::string Recorder::to_chrome_json() const {
       mix(std::to_string(nranks_));
       mix(std::to_string(seed_));
       mix(net_json);
-      char digest[32];
-      std::snprintf(digest, sizeof digest, "0x%016llx",
-                    static_cast<unsigned long long>(h));
-      out += ",\"config_digest\":\"";
-      out += digest;
-      out += "\"";
+      out.raw(",\"config_digest\":\"");
+      out.hex(h);
+      out.ch('"');
     }
     if (has_run_result_) {
-      char hash[32];
-      std::snprintf(hash, sizeof hash, "0x%016llx",
-                    static_cast<unsigned long long>(run_trace_hash_));
-      out += ",\"run\":{\"time_ns\":" + std::to_string(run_time_ns_) +
-             ",\"trace_hash\":\"" + hash +
-             "\",\"events\":" + std::to_string(run_events_) + "}";
+      out.raw(",\"run\":{\"time_ns\":");
+      out.integer(run_time_ns_);
+      out.raw(",\"trace_hash\":\"");
+      out.hex(run_trace_hash_);
+      out.raw("\",\"events\":");
+      out.integer(run_events_);
+      out.ch('}');
     }
-    out += "}";
+    out.ch('}');
   }
-  out += "}";
-  return out;
+  out.ch('}');
 }
 
-std::string Recorder::metrics_jsonl() const {
-  std::string out;
-  out += "{\"type\":\"header\",\"schema\":\"";
-  out += kMetricsSchema;
-  out += "\",\"algo\":\"" + json_escape(algo_) + "\",\"model\":\"" +
-         json_escape(model_) + "\",\"ranks\":" + std::to_string(nranks_) +
-         ",\"seed\":" + std::to_string(seed_) + "}\n";
+void Recorder::emit_metrics(Emitter& out) const {
+  out.raw("{\"type\":\"header\",\"schema\":\"");
+  out.raw(kMetricsSchema);
+  out.raw("\",\"algo\":\"");
+  out.escaped(algo_);
+  out.raw("\",\"model\":\"");
+  out.escaped(model_);
+  out.raw("\",\"ranks\":");
+  out.integer(nranks_);
+  out.raw(",\"seed\":");
+  out.integer(seed_);
+  out.raw("}\n");
   for (const Sample& s : samples_) {
-    out += "{\"type\":\"sample\",\"t\":" + std::to_string(s.t) +
-           ",\"rank\":" + std::to_string(s.rank) + ",\"name\":\"" +
-           json_escape(s.name) + "\",\"value\":" + std::to_string(s.value) +
-           "}\n";
+    out.raw("{\"type\":\"sample\",\"t\":");
+    out.integer(s.t);
+    out.raw(",\"rank\":");
+    out.integer(s.rank);
+    out.raw(",\"name\":\"");
+    out.escaped(s.name);
+    out.raw("\",\"value\":");
+    out.integer(s.value);
+    out.raw("}\n");
   }
   for (const Iteration& it : iterations_) {
-    out += "{\"type\":\"iteration\",\"t\":" + std::to_string(it.t) +
-           ",\"rank\":" + std::to_string(it.rank) +
-           ",\"iter\":" + std::to_string(it.iter) +
-           ",\"active\":" + std::to_string(it.active) +
-           ",\"dt\":" + std::to_string(it.dt) +
-           ",\"d_bytes_p2p\":" + std::to_string(it.d_bytes_p2p) +
-           ",\"d_bytes_rma\":" + std::to_string(it.d_bytes_rma) +
-           ",\"d_bytes_coll\":" + std::to_string(it.d_bytes_coll) +
-           ",\"d_comm_ns\":" + std::to_string(it.d_comm_ns) +
-           ",\"d_compute_ns\":" + std::to_string(it.d_compute_ns) + "}\n";
+    out.raw("{\"type\":\"iteration\",\"t\":");
+    out.integer(it.t);
+    out.raw(",\"rank\":");
+    out.integer(it.rank);
+    out.raw(",\"iter\":");
+    out.integer(it.iter);
+    out.raw(",\"active\":");
+    out.integer(it.active);
+    out.raw(",\"dt\":");
+    out.integer(it.dt);
+    out.raw(",\"d_bytes_p2p\":");
+    out.integer(it.d_bytes_p2p);
+    out.raw(",\"d_bytes_rma\":");
+    out.integer(it.d_bytes_rma);
+    out.raw(",\"d_bytes_coll\":");
+    out.integer(it.d_bytes_coll);
+    out.raw(",\"d_comm_ns\":");
+    out.integer(it.d_comm_ns);
+    out.raw(",\"d_compute_ns\":");
+    out.integer(it.d_compute_ns);
+    out.raw("}\n");
   }
   for (const Instant& i : instants_) {
-    out += "{\"type\":\"instant\",\"t\":" + std::to_string(i.t) +
-           ",\"rank\":" + std::to_string(i.rank) + ",\"name\":\"" +
-           json_escape(i.name) + "\",\"flow\":" + std::to_string(i.flow) +
-           "}\n";
+    out.raw("{\"type\":\"instant\",\"t\":");
+    out.integer(i.t);
+    out.raw(",\"rank\":");
+    out.integer(i.rank);
+    out.raw(",\"name\":\"");
+    out.escaped(i.name);
+    out.raw("\",\"flow\":");
+    out.integer(i.flow);
+    out.raw("}\n");
   }
   if (has_run_result_) {
-    char hash[32];
-    std::snprintf(hash, sizeof hash, "0x%016llx",
-                  static_cast<unsigned long long>(run_trace_hash_));
-    out += "{\"type\":\"run\",\"time_ns\":" + std::to_string(run_time_ns_) +
-           ",\"trace_hash\":\"" + hash +
-           "\",\"events\":" + std::to_string(run_events_) + "}\n";
+    out.raw("{\"type\":\"run\",\"time_ns\":");
+    out.integer(run_time_ns_);
+    out.raw(",\"trace_hash\":\"");
+    out.hex(run_trace_hash_);
+    out.raw("\",\"events\":");
+    out.integer(run_events_);
+    out.raw("}\n");
   }
-  return out;
 }
 
 namespace {
-void write_or_throw(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  out << content;
-  if (!out) throw std::runtime_error("short write: " + path);
+
+/// Runs `emit` into a string.
+std::string emit_to_string(const std::function<void(Emitter&)>& emit) {
+  std::string text;
+  Emitter out([&text](const char* p, std::size_t n) { text.append(p, n); });
+  emit(out);
+  out.finish();
+  return text;
 }
+
+/// Runs `emit` into the file at `path`, one block per write.
+void emit_to_file(const std::string& path,
+                  const std::function<void(Emitter&)>& emit) {
+  struct Closer {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+  std::unique_ptr<std::FILE, Closer> file(std::fopen(path.c_str(), "wb"));
+  if (!file) throw std::runtime_error("cannot open for writing: " + path);
+  // The emitter already buffers; each block goes straight to the file.
+  std::setvbuf(file.get(), nullptr, _IONBF, 0);
+  Emitter out([&](const char* p, std::size_t n) {
+    if (std::fwrite(p, 1, n, file.get()) != n) {
+      throw std::runtime_error("short write: " + path);
+    }
+  });
+  emit(out);
+  out.finish();
+  if (std::fclose(file.release()) != 0) {
+    throw std::runtime_error("short write: " + path);
+  }
+}
+
 }  // namespace
 
+std::string Recorder::to_chrome_json() const {
+  return emit_to_string([this](Emitter& out) { emit_chrome(out); });
+}
+
+std::string Recorder::metrics_jsonl() const {
+  return emit_to_string([this](Emitter& out) { emit_metrics(out); });
+}
+
 void Recorder::write_chrome_file(const std::string& path) const {
-  write_or_throw(path, to_chrome_json());
+  emit_to_file(path, [this](Emitter& out) { emit_chrome(out); });
 }
 
 void Recorder::write_metrics_file(const std::string& path) const {
-  write_or_throw(path, metrics_jsonl());
+  emit_to_file(path, [this](Emitter& out) { emit_metrics(out); });
 }
 
 }  // namespace mel::obs

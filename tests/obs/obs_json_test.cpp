@@ -64,6 +64,66 @@ TEST(JsonParse, RejectsMalformed) {
   EXPECT_THROW(json::parse(std::string("\"a\x01b\"", 5)), json::ParseError);
 }
 
+/// The ParseError message for `text`, or "" when it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    json::parse(text);
+  } catch (const json::ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(JsonParse, NumbersFollowTheJsonGrammar) {
+  for (const char* ok : {"0", "-0", "7", "-42", "1.5", "-0.25", "1e3", "1E+3",
+                         "2.5e-3", "9223372036854775808", "1e999"}) {
+    EXPECT_EQ(parse_error(ok), "") << ok;
+  }
+  EXPECT_DOUBLE_EQ(json::parse("9223372036854775808").number,
+                   9.223372036854775808e18);
+  // Each malformed token fails at the byte that breaks the grammar.
+  const std::pair<const char*, int> bad[] = {
+      {"1.2.3", 3}, {"+0", 0}, {"-", 1},  {"1e", 2},  {"01", 1},
+      {".5", 0},    {"1.", 2}, {"-x", 1}, {"1e+", 3}, {"1-2", 1},
+      {"00", 1},    {"-01", 2}};
+  for (const auto& [text, at] : bad) {
+    EXPECT_EQ(parse_error(text), "JSON parse error at byte " +
+                                     std::to_string(at) + ": malformed number")
+        << text;
+  }
+  EXPECT_EQ(parse_error(R"({"ts":1.2.3})"),
+            "JSON parse error at byte 9: malformed number");
+  EXPECT_EQ(parse_error("[1,x]"),
+            "JSON parse error at byte 3: expected a value");
+}
+
+TEST(JsonParse, NestingIsBoundedWithoutRecursionBlowup) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_EQ(parse_error(nested(json::Lexer::kMaxDepth)), "");
+  EXPECT_EQ(parse_error(nested(json::Lexer::kMaxDepth + 1)),
+            "JSON parse error at byte 512: nesting too deep");
+  EXPECT_EQ(parse_error(std::string(200000, '[')),
+            "JSON parse error at byte 512: nesting too deep");
+  // Objects count as levels too, and skip_value applies the same limit at
+  // the same byte.
+  std::string objects;
+  for (std::size_t i = 0; i <= json::Lexer::kMaxDepth; ++i) {
+    objects += "{\"k\":";
+  }
+  EXPECT_EQ(parse_error(objects),
+            "JSON parse error at byte 2560: nesting too deep");
+  json::Lexer lex(objects);
+  try {
+    lex.skip_value();
+    ADD_FAILURE() << "skip_value accepted a too-deep document";
+  } catch (const json::ParseError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "JSON parse error at byte 2560: nesting too deep");
+  }
+}
+
 TEST(JsonParse, DecodesEscapes) {
   const auto v = json::parse(R"("a\"b\\c\ndAeé")");
   EXPECT_EQ(v.string, "a\"b\\c\ndAe\xc3\xa9");

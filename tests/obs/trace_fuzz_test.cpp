@@ -164,15 +164,16 @@ class Mutator {
         static const char* kKeys[] = {"name", "ph",   "ts",  "tid", "pid",
                                       "dur",  "id",   "cat", "args", "src",
                                       "dst",  "bytes", "flow"};
-        static const char* kValues[] = {"1",    "-1",  "\"x\"", "null",
-                                        "{}",   "[]",  "2.5",   "\"X\"",
-                                        "\"s\"", "\"f\"", "{\"flow\":0}",
-                                        "true", "1e3"};
+        static const char* kValues[] = {
+            "1",     "-1",    "\"x\"",         "null", "{}",   "[]",
+            "2.5",   "\"X\"", "\"s\"",         "\"f\"", "true", "1e3",
+            "{\"flow\":0}", "1.2.3", "+0",  "-",    "1e",   "01"};
         const bool first = below(2) == 0;
         const std::size_t at = m.find(first ? '{' : '}', below(m.size()));
         if (at == std::string::npos) break;
-        const std::string member = std::string("\"") + kKeys[below(13)] +
-                                   "\":" + kValues[below(13)];
+        const std::string member =
+            std::string("\"") + kKeys[below(std::size(kKeys))] + "\":" +
+            kValues[below(std::size(kValues))];
         m.insert(at + (first ? 1 : 0), first ? member + "," : "," + member);
         break;
       }
@@ -299,6 +300,55 @@ TEST(TraceFuzz, EscapeEncodingNeverChangesTheOutputs) {
     ASSERT_EQ(Replayer(load_replay_trace_text(m)).replay().digest,
               want_digest)
         << i;
+  }
+}
+
+// Hand-built documents: a non-JSON number token or a nesting bomb, in an
+// event field, an args member, a skipped member or otherData, is the
+// same named error at the same byte for the reader as for json::parse.
+TEST(TraceFuzz, MalformedNumbersAndDeepNestingAreNamedErrors) {
+  const std::string base = small_trace(match::Model::kNsr, 0.0, 0);
+  const std::string bomb =
+      std::string(200000, '[') + std::string(200000, ']');
+  std::vector<std::pair<std::string, std::string>> docs;  // (doc, error)
+  for (const char* tok : {"1.2.3", "+0", "-", "1e", "01"}) {
+    for (const std::string key : {"ts", "pid", "bytes", "zz"}) {
+      // "zz" is a member the reader skips, inserted before the first ts.
+      const std::string needle = "\"" + key + "\":";
+      const std::size_t at = base.find(key == "zz" ? "\"ts\":" : needle);
+      ASSERT_NE(at, std::string::npos) << needle;
+      std::string m = base;
+      if (key == "zz") {
+        m.insert(at, needle + tok + ",");
+      } else {
+        const std::size_t value = at + needle.size();
+        m.replace(value, m.find_first_of(",}", value) - value, tok);
+      }
+      docs.emplace_back(m, "malformed number");
+    }
+    std::string other = base;
+    other.insert(other.find("\"otherData\":{") + 13,
+                 std::string("\"x\":") + tok + ",");
+    docs.emplace_back(other, "malformed number");
+  }
+  std::string deep_other = base;
+  deep_other.insert(deep_other.find("\"otherData\":{") + 13,
+                    "\"x\":" + bomb + ",");
+  docs.emplace_back(deep_other, "nesting too deep");
+  std::string deep_event = base;
+  deep_event.insert(deep_event.find("\"ts\":"), "\"x\":" + bomb + ",");
+  docs.emplace_back(deep_event, "nesting too deep");
+  for (const auto& [doc, why] : docs) {
+    std::string parse_error;
+    try {
+      json::parse(doc);
+    } catch (const json::ParseError& e) {
+      parse_error = e.what();
+    }
+    ASSERT_NE(parse_error.find(why), std::string::npos) << parse_error;
+    EXPECT_EQ(analyze_trace_text(doc).errors,
+              std::vector<std::string>{parse_error});
+    EXPECT_THROW(load_replay_trace_text(doc), json::ParseError) << why;
   }
 }
 

@@ -8,7 +8,8 @@
 #     "fidelity exact") for NSR, RMA, and NCL traces,
 #   * `replay --set` rejects unknown parameters (exit 2) and accepts
 #     LogGP aliases (net.L_intra),
-#   * a malformed trace (truncated, or with trailing garbage) fails every
+#   * a malformed trace (truncated, with trailing garbage, a non-JSON
+#     number, or nesting past the parser's depth limit) fails every
 #     subcommand with the named parse error: `validate` exits 1, `replay`
 #     and `critical` exit 2,
 #   * `--top K` must be a positive integer (exit 2 + usage pointer).
@@ -158,6 +159,33 @@ foreach(bad truncated garbage)
 endforeach()
 run_fails("garbage offset" 2 "at byte ${nsr_len}: trailing garbage"
           replay ${workdir}/garbage.json)
+# Numbers follow the JSON grammar: strtod-style prefixes are rejected at
+# the offending byte, wherever the token sits.
+string(REGEX REPLACE "\"ts\":[0-9.]+" "\"ts\":1.2.3" dotted_text "${nsr_text}")
+file(WRITE ${workdir}/dotted.json "${dotted_text}")
+string(REPLACE "\"pid\":0" "\"pid\":+0" plus_text "${nsr_text}")
+file(WRITE ${workdir}/plus.json "${plus_text}")
+# A nesting bomb in otherData (the part parsed into a tree) is a named
+# error, not a stack overflow.
+string(REPEAT "[" 200000 open)
+string(REPEAT "]" 200000 close)
+string(REPLACE "\"otherData\":{" "\"otherData\":{\"x\":${open}${close},"
+       deep_text "${nsr_text}")
+file(WRITE ${workdir}/deep.json "${deep_text}")
+foreach(bad dotted plus deep)
+  if(bad STREQUAL "deep")
+    set(why "nesting too deep")
+  else()
+    set(why "malformed number")
+  endif()
+  set(f ${workdir}/${bad}.json)
+  run_fails("validate ${bad}" 1 "JSON parse error at byte [0-9]+: ${why}"
+            validate ${f})
+  run_fails("replay ${bad}" 2 "JSON parse error at byte [0-9]+: ${why}"
+            replay ${f})
+  run_fails("critical ${bad}" 2 "JSON parse error at byte [0-9]+: ${why}"
+            critical ${f})
+endforeach()
 # A path that is not a regular file is an input error, not a parse error.
 run_fails("validate a directory" 2 "cannot read" validate ${workdir})
 
