@@ -27,6 +27,9 @@ struct TraceStats {
   /// carries the required fields, every flow id has exactly one `s` and at
   /// most one `f` with ts(f) >= ts(s), no flow-referencing instant dangles).
   std::vector<std::string> errors;
+  /// The document is not JSON: `errors` holds only the json::ParseError
+  /// message and nothing else was read.
+  bool malformed = false;
   /// Flows with an `s` but no `f` — dangling causality arrows. Validation
   /// errors too (a closed trace ends every flow), listed separately so
   /// summaries of crash runs stay readable.
@@ -80,9 +83,9 @@ struct TraceStats {
 };
 
 /// Validate + roll up one Chrome trace document in a single streaming pass
-/// (obs::read_trace). Malformed JSON yields exactly one violation, the
-/// json::ParseError message with its byte offset. `top_k` <= 0 keeps no
-/// top spans.
+/// (obs::read_trace / read_trace_file). Malformed JSON yields exactly one
+/// violation, the json::ParseError message with its byte offset, and sets
+/// `malformed`. `top_k` <= 0 keeps no top spans.
 TraceStats analyze_trace_text(const std::string& text, int top_k = 10);
 TraceStats analyze_trace_file(const std::string& path, int top_k = 10);
 

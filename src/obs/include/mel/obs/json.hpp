@@ -89,10 +89,24 @@ class Lexer {
   explicit Lexer(std::string_view text) : text_(text) {}
 
   [[noreturn]] void fail(const std::string& why) const;
-  void skip_ws();
+  // skip_ws/peek/expect run several times per token, so they are inline
+  // and keep their throws out of line.
+  void skip_ws() {
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') return;
+      ++pos_;
+    }
+  }
   /// Next byte (not consumed); fails at end of input.
-  char peek();
-  void expect(char c);
+  char peek() {
+    if (pos_ >= text_.size()) fail_end();
+    return text_[pos_];
+  }
+  void expect(char c) {
+    if (pos_ >= text_.size() || text_[pos_] != c) fail_expected(c);
+    ++pos_;
+  }
   bool at_end() const { return pos_ >= text_.size(); }
   std::size_t pos() const { return pos_; }
   std::string_view text() const { return text_; }
@@ -159,6 +173,10 @@ class Lexer {
   void skip_value();
 
  private:
+  /// "unexpected end of input".
+  [[noreturn]] void fail_end() const;
+  /// What expect(c) reports: end of input, or "expected 'c'".
+  [[noreturn]] void fail_expected(char c) const;
   /// Consumes the container opener `c`, one level deeper.
   void open(char c);
 

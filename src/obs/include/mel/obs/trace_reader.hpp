@@ -5,6 +5,8 @@
 // `traceEvents` entry is handed to a callback as a flat TraceEvent record
 // and forgotten, so no subcommand holds a DOM of the event array. Only
 // the small `otherData` header is materialized, through json::parse.
+// read_trace_file() runs the same pass over a mapped file whose consumed
+// pages are released as it goes.
 //
 // The reader accepts exactly the documents json::parse accepts (it runs on
 // the same json::Lexer): trailing garbage, bad escapes, raw control
@@ -68,7 +70,19 @@ TraceDocument read_trace(
     std::string_view text,
     const std::function<void(const TraceEvent&)>& on_event);
 
-/// Whole file in one read into an exactly sized buffer.
+/// read_trace() over the file at `path`, mapped read-only instead of
+/// copied: same events, same ParseError text and byte offsets. Pages of
+/// the event array are given back as the reader passes them, about every
+/// 1 MiB, so peak RSS does not grow with the file. Throws
+/// std::runtime_error "cannot open: PATH" / "cannot read: PATH (why)" when
+/// the path is missing or not a regular file. A file truncated by another
+/// process while it is read ends the process with SIGBUS.
+TraceDocument read_trace_file(
+    const std::string& path,
+    const std::function<void(const TraceEvent&)>& on_event);
+
+/// Whole file in one read into an exactly sized buffer (metrics JSONL,
+/// tests).
 std::string read_file(const std::string& path);
 
 }  // namespace mel::obs

@@ -68,7 +68,7 @@ struct FlowAgg {
   Time s_ts = 0;
   Time f_ts = 0;
   std::uint64_t bytes = 0;
-  std::string cls;
+  std::uint32_t cls = 0;  // index into Analyzer::classes_
 };
 
 /// Consumes TraceEvent records in stream order and rolls them up; the
@@ -136,7 +136,7 @@ class Analyzer {
       if (p == 's') {
         agg.s_count += 1;
         agg.s_ts = t;
-        agg.cls = key_;
+        agg.cls = intern_class();
         if (e.bytes.ok) {
           agg.bytes = static_cast<std::uint64_t>(e.bytes.value.as_int());
         }
@@ -189,7 +189,7 @@ class Analyzer {
         err("flow " + std::to_string(id) + " has " +
             std::to_string(agg.f_count) + " finish events");
       }
-      auto& roll = out_.flows_by_class[agg.cls];
+      auto& roll = out_.flows_by_class[*classes_[agg.cls]];
       roll.count += 1;
       roll.bytes += agg.bytes;
       if (agg.f_count >= 1) {
@@ -236,6 +236,14 @@ class Analyzer {
     if (out_.errors.size() < 64) out_.errors.push_back(std::move(text));
   }
 
+  /// Index of the current event's name in classes_, added on first sight.
+  std::uint32_t intern_class() {
+    const auto [it, added] = class_index_.try_emplace(
+        key_, static_cast<std::uint32_t>(classes_.size()));
+    if (added) classes_.push_back(&it->first);
+    return it->second;
+  }
+
   static void roll_up(TraceStats::CategoryRoll& roll, Time dur) {
     roll.count += 1;
     roll.total_ns += dur;
@@ -260,22 +268,26 @@ class Analyzer {
   bool first_ts_ = true;
   std::string key_;  // name of the current event
   std::map<std::uint64_t, FlowAgg> flows_;
+  // Flow class names: class_index_ owns them, classes_ lists them by index.
+  std::map<std::string, std::uint32_t> class_index_;
+  std::vector<const std::string*> classes_;
   std::vector<std::uint64_t> flow_refs_;  // instants -> flows
   std::vector<Top> top_;
 };
 
-}  // namespace
-
-TraceStats analyze_trace_text(const std::string& text, int top_k) {
+/// The analysis over one read of the document; `read(on_event)` runs
+/// read_trace or read_trace_file.
+template <typename Read>
+TraceStats analyze(const Read& read, int top_k) {
   TraceStats out;
   Analyzer analyzer(out, top_k);
   TraceDocument doc;
   try {
-    doc = read_trace(text,
-                     [&analyzer](const TraceEvent& e) { analyzer.event(e); });
+    doc = read([&analyzer](const TraceEvent& e) { analyzer.event(e); });
   } catch (const json::ParseError& e) {
     TraceStats bad;
     bad.errors.push_back(e.what());
+    bad.malformed = true;
     return bad;
   }
   if (!doc.root_is_object || !doc.has_events) {
@@ -291,8 +303,20 @@ TraceStats analyze_trace_text(const std::string& text, int top_k) {
   return out;
 }
 
+}  // namespace
+
+TraceStats analyze_trace_text(const std::string& text, int top_k) {
+  return analyze(
+      [&text](const auto& on_event) { return read_trace(text, on_event); },
+      top_k);
+}
+
 TraceStats analyze_trace_file(const std::string& path, int top_k) {
-  return analyze_trace_text(read_file(path), top_k);
+  return analyze(
+      [&path](const auto& on_event) {
+        return read_trace_file(path, on_event);
+      },
+      top_k);
 }
 
 std::vector<std::string> validate_metrics_text(const std::string& text) {

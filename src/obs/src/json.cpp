@@ -39,22 +39,11 @@ void Lexer::fail(const std::string& why) const {
                    why);
 }
 
-void Lexer::skip_ws() {
-  while (pos_ < text_.size() &&
-         (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-          text_[pos_] == '\r')) {
-    ++pos_;
-  }
-}
+void Lexer::fail_end() const { fail("unexpected end of input"); }
 
-char Lexer::peek() {
-  if (pos_ >= text_.size()) fail("unexpected end of input");
-  return text_[pos_];
-}
-
-void Lexer::expect(char c) {
-  if (peek() != c) fail(std::string("expected '") + c + "'");
-  ++pos_;
+void Lexer::fail_expected(char c) const {
+  if (pos_ >= text_.size()) fail_end();
+  fail(std::string("expected '") + c + "'");
 }
 
 void Lexer::literal(std::string_view lit) {
@@ -144,44 +133,75 @@ Number Lexer::number() {
     return pos_ < text_.size() ? text_[pos_] : '\0';
   };
   const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
+  // The digits before any exponent, as one integer (wraps past 19 digits;
+  // read only on the fast path, which needs at most kFastDigits of them).
+  std::uint64_t mantissa = 0;
+  std::size_t ndigits = 0;
   const auto digits = [&] {
     if (!is_digit(byte())) fail("malformed number");
-    do ++pos_;
-    while (is_digit(byte()));
+    do {
+      mantissa = mantissa * 10 + static_cast<unsigned>(byte() - '0');
+      ++ndigits;
+      ++pos_;
+    } while (is_digit(byte()));
   };
-  if (byte() == '-') ++pos_;
+  const bool negative = byte() == '-';
+  if (negative) ++pos_;
   char c = byte();
   if (c == '0') {
     ++pos_;
+    ndigits = 1;
   } else if (pos_ == start && !is_digit(c) && c != '+' && c != '.' &&
              c != 'e' && c != 'E') {
     fail("expected a value");
   } else {
     digits();
   }
-  bool integral = true;
+  std::size_t fraction = 0;
   if (byte() == '.') {
-    integral = false;
     ++pos_;
+    const std::size_t before = ndigits;
     digits();
+    fraction = ndigits - before;
   }
+  bool exponent = false;
   c = byte();
   if (c == 'e' || c == 'E') {
-    integral = false;
+    exponent = true;
     ++pos_;
     c = byte();
     if (c == '+' || c == '-') ++pos_;
-    digits();
+    digits();  // mantissa is not read past here
   }
   c = byte();
   if (is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' ||
       c == '-') {
     fail("malformed number");
   }
+  Number n;
+  // Exact fast path: at most 15 digits and no exponent is the integer
+  // mantissa / 10^fraction with both operands exact doubles (< 2^53), and
+  // IEEE division rounds that quotient correctly, so the result is
+  // from_chars's bit for bit.
+  constexpr std::size_t kFastDigits = 15;
+  if (!exponent && ndigits <= kFastDigits) {
+    static constexpr double kPow10[kFastDigits + 1] = {
+        1e0, 1e1, 1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+        1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15};
+    if (fraction == 0) {
+      const auto m = static_cast<std::int64_t>(mantissa);
+      n.integer = negative ? -m : m;
+      n.is_integer = true;
+      n.number = static_cast<double>(n.integer);
+    } else {
+      const double v = static_cast<double>(mantissa) / kPow10[fraction];
+      n.number = negative ? -v : v;
+    }
+    return n;
+  }
   const char* first = text_.data() + start;
   const char* last = text_.data() + pos_;
-  Number n;
-  if (integral) {
+  if (fraction == 0 && !exponent) {
     if (std::from_chars(first, last, n.integer).ec == std::errc{}) {
       n.is_integer = true;
       n.number = static_cast<double>(n.integer);

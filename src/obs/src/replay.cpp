@@ -287,12 +287,13 @@ void sink_event(const TraceEvent& e, EventSink& sink) {
   }
 }
 
-}  // namespace
-
-ReplayTrace load_replay_trace_text(const std::string& text) {
+/// Replay form of one read of the document; `read(on_event)` runs
+/// read_trace or read_trace_file.
+template <typename Read>
+ReplayTrace load_replay(const Read& read) {
   EventSink sink;
-  const TraceDocument doc = read_trace(
-      text, [&sink](const TraceEvent& e) { sink_event(e, sink); });
+  const TraceDocument doc =
+      read([&sink](const TraceEvent& e) { sink_event(e, sink); });
   if (!doc.root_is_object) fail("trace root is not a JSON object");
   if (!doc.has_events) fail("trace has no traceEvents array");
   ReplayTrace t;
@@ -301,8 +302,17 @@ ReplayTrace load_replay_trace_text(const std::string& text) {
   return t;
 }
 
+}  // namespace
+
+ReplayTrace load_replay_trace_text(const std::string& text) {
+  return load_replay(
+      [&text](const auto& on_event) { return read_trace(text, on_event); });
+}
+
 ReplayTrace load_replay_trace_file(const std::string& path) {
-  return load_replay_trace_text(read_file(path));
+  return load_replay([&path](const auto& on_event) {
+    return read_trace_file(path, on_event);
+  });
 }
 
 Replayer::Replayer(ReplayTrace trace) : trace_(std::move(trace)) {

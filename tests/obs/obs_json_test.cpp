@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "mel/obs/json.hpp"
+#include "mel/util/rng.hpp"
 
 namespace mel::obs {
 namespace {
@@ -95,6 +102,77 @@ TEST(JsonParse, NumbersFollowTheJsonGrammar) {
             "JSON parse error at byte 9: malformed number");
   EXPECT_EQ(parse_error("[1,x]"),
             "JSON parse error at byte 3: expected a value");
+}
+
+/// Lexer::number() on `tok` must equal the reference reading bit for bit:
+/// std::from_chars into int64 when the token is integral and fits, else
+/// into a double.
+void expect_number_matches_from_chars(const std::string& tok) {
+  json::Lexer lex(tok);
+  const json::Number n = lex.number();
+  ASSERT_TRUE(lex.at_end()) << tok;
+  const char* first = tok.data();
+  const char* last = first + tok.size();
+  std::int64_t integer = 0;
+  const bool is_integer =
+      tok.find_first_of(".eE") == std::string::npos &&
+      std::from_chars(first, last, integer).ec == std::errc{};
+  double number = static_cast<double>(integer);
+  if (!is_integer) {
+    integer = 0;
+    ASSERT_EQ(std::from_chars(first, last, number).ec, std::errc{}) << tok;
+  }
+  EXPECT_EQ(n.is_integer, is_integer) << tok;
+  EXPECT_EQ(n.integer, integer) << tok;
+  EXPECT_EQ(std::memcmp(&n.number, &number, sizeof number), 0)
+      << tok << ": " << n.number << " vs " << number;
+}
+
+TEST(JsonLexer, NumbersEqualFromCharsBitForBit) {
+  // Signs and zeros, the 15/16-digit edge of the exact fast path, and the
+  // int64 limits.
+  for (const char* tok :
+       {"0", "-0", "0.0", "-0.0", "-0.000", "0.000000000000000000000",
+        "1", "-1", "0.1", "0.2", "0.3", "-0.5", "123456789012345",
+        "-123456789012345", "999999999999999", "1000000000000000",
+        "9999999999999999", "12345678901234.5", "1234567890123.45",
+        "1.23456789012345", "1.234567890123456", "0.00000000000001",
+        "0.000000000000001", "999999999999.999", "9007199254740993",
+        "9007199254740993.5", "9223372036854775807", "-9223372036854775808",
+        "9223372036854775808", "-9223372036854775809",
+        "18446744073709551616", "4.35", "0.07", "1e3", "-2.5E-3", "1e22",
+        "1.5e+300", "5e-324"}) {
+    expect_number_matches_from_chars(tok);
+  }
+  // Seeded random tokens: 1-17 integer digits (sometimes 18-20), 0-22
+  // fraction digits, either sign, digit runs biased toward 0/5/9 so that
+  // rounding ties and carries show up.
+  std::uint64_t state = 0x5eedf00du;
+  const auto below = [&state](std::uint64_t n) {
+    return util::splitmix64(state) % n;
+  };
+  const auto digit = [&below] {
+    static const char kDigits[] = "01234567890599";
+    return kDigits[below(sizeof kDigits - 1)];
+  };
+  for (int i = 0; i < 200000; ++i) {
+    std::string tok = below(2) == 0 ? "-" : "";
+    const std::uint64_t int_digits = below(8) == 0 ? 18 + below(3)
+                                                   : 1 + below(17);
+    if (below(6) == 0) {
+      tok += '0';
+    } else {
+      tok += static_cast<char>('1' + below(9));
+      for (std::uint64_t k = 1; k < int_digits; ++k) tok += digit();
+    }
+    const std::uint64_t frac_digits = below(3) == 0 ? 0 : below(23);
+    if (frac_digits > 0) {
+      tok += '.';
+      for (std::uint64_t k = 0; k < frac_digits; ++k) tok += digit();
+    }
+    expect_number_matches_from_chars(tok);
+    if (HasFailure()) break;
+  }
 }
 
 TEST(JsonParse, NestingIsBoundedWithoutRecursionBlowup) {

@@ -11,7 +11,11 @@
 //   * load_replay_trace_text (and the replay/critical-path machinery on
 //     what it loads) either returns or throws std::runtime_error — it
 //     never crashes, hangs or throws anything else;
-//   * escape-encoding a character never changes any output.
+//   * escape-encoding a character never changes any output;
+//   * read_trace_file on the mutant written to a file hands over the same
+//     event stream as read_trace on the text, or throws the same
+//     ParseError (message and byte offset), including past the mapped
+//     reader's release window.
 // The ctest TIMEOUT turns a hang into a failure; the sanitizer CI job
 // runs this binary like every other test.
 #include <gtest/gtest.h>
@@ -20,6 +24,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <map>
 #include <string>
@@ -32,6 +39,7 @@
 #include "mel/obs/json.hpp"
 #include "mel/obs/recorder.hpp"
 #include "mel/obs/replay.hpp"
+#include "mel/obs/trace_reader.hpp"
 #include "mel/util/rng.hpp"
 
 namespace mel::obs {
@@ -54,6 +62,78 @@ std::string small_trace(match::Model model, double loss,
   const auto run = match::run_match(g, 4, model, cfg);
   rec.set_run_result(run.time, run.trace_hash, run.sim_events);
   return rec.to_chrome_json();
+}
+
+/// One read of a trace as text: every field of every event (numbers bit
+/// for bit), then the document flags — or the ParseError message.
+template <typename Read>
+std::string event_stream(const Read& read) {
+  std::string out;
+  const auto str = [&out](const TraceEvent::Str& f) {
+    out += f.present ? (f.ok ? "s" : "S") : "-";
+    out += f.value;
+    out += '|';
+  };
+  const auto num = [&out](const TraceEvent::Num& f) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &f.value.number, sizeof bits);
+    out += f.present ? (f.ok ? "n" : "N") : "-";
+    out += std::to_string(bits) + ":" + std::to_string(f.value.integer) +
+           (f.value.is_integer ? "i|" : "d|");
+  };
+  try {
+    const TraceDocument doc = read([&](const TraceEvent& e) {
+      out += std::to_string(e.index) + (e.is_object ? "o" : "-");
+      str(e.name);
+      str(e.cat);
+      str(e.ph);
+      for (const auto* f : {&e.ts, &e.dur, &e.pid, &e.tid, &e.id, &e.src,
+                            &e.dst, &e.tag, &e.bytes, &e.flow}) {
+        num(*f);
+      }
+      out += e.args_present ? "a" : "-";
+      out += e.args_object ? "o" : "-";
+      out += e.args_first_numeric ? "n\n" : "-\n";
+    });
+    out += std::string("doc ") + (doc.root_is_object ? "o" : "-") +
+           (doc.has_events ? "e" : "-") + (doc.has_other_data ? "h" : "-") +
+           std::to_string(doc.other_data.object.size());
+  } catch (const json::ParseError& e) {
+    out += std::string("error: ") + e.what();
+  }
+  return out;
+}
+
+/// A file in the test temp dir holding `text`, removed on destruction;
+/// named after the running test, since ctest runs tests in parallel.
+class TempTrace {
+ public:
+  explicit TempTrace(const std::string& text)
+      : path_(testing::TempDir() + "trace_fuzz_test." +
+              testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".json") {
+    std::ofstream(path_, std::ios::binary) << text;
+  }
+  ~TempTrace() { std::filesystem::remove(path_); }
+  TempTrace(const TempTrace&) = delete;
+  TempTrace& operator=(const TempTrace&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// read_trace_file on `text` written to a file reads exactly what
+/// read_trace reads on the text.
+void expect_file_reads_as_text(const std::string& text) {
+  const TempTrace file(text);
+  const std::string want = event_stream(
+      [&](const auto& on_event) { return read_trace(text, on_event); });
+  ASSERT_EQ(event_stream([&](const auto& on_event) {
+              return read_trace_file(file.path(), on_event);
+            }),
+            want);
 }
 
 /// The trace schema analyze_trace_text enforces, re-stated over the DOM
@@ -244,6 +324,7 @@ TEST(TraceFuzz, ReaderMatchesTheJsonParseOracle) {
       }
       const TraceStats stats = analyze_trace_text(m);
       const bool threw = replay_threw(m);
+      expect_file_reads_as_text(m);
       if (!parse_error.empty()) {
         ++parse_errors;
         ASSERT_EQ(stats.errors, std::vector<std::string>{parse_error});
@@ -277,7 +358,80 @@ TEST(TraceFuzz, TruncationAtEveryOffsetIsANamedError) {
     EXPECT_EQ(stats.errors[0].rfind("JSON parse error at byte ", 0), 0u)
         << stats.errors[0];
     EXPECT_THROW(load_replay_trace_text(m), json::ParseError) << len;
+    expect_file_reads_as_text(m);
   }
+}
+
+// A trace several times the mapped reader's release window: the file
+// path gives back consumed pages while it reads, and must still agree
+// with the text path on the events, every analysis output and every
+// error, including errors placed past the released prefix.
+TEST(TraceFuzz, FileReaderMatchesTextPastTheReleaseWindow) {
+  const auto g = gen::erdos_renyi(600, 4000, 3);
+  Recorder rec;
+  match::RunConfig cfg;
+  cfg.tracer = &rec;
+  cfg.sample_interval_ns = 5000;
+  rec.set_run_info("match", "NSR", 16, 3);
+  rec.set_net_params(cfg.net);
+  const auto run = match::run_match(g, 16, match::Model::kNsr, cfg);
+  rec.set_run_result(run.time, run.trace_hash, run.sim_events);
+  const std::string base = rec.to_chrome_json();
+  ASSERT_GT(base.size(), std::size_t{4} << 20);
+
+  expect_file_reads_as_text(base);
+  {
+    const TempTrace file(base);
+    const TraceStats text_stats = analyze_trace_text(base);
+    ASSERT_TRUE(text_stats.errors.empty());
+    EXPECT_EQ(summarize_json(analyze_trace_file(file.path())),
+              summarize_json(text_stats));
+    EXPECT_EQ(Replayer(load_replay_trace_file(file.path())).replay().digest,
+              Replayer(load_replay_trace_text(base)).replay().digest);
+  }
+  // Truncated, bit-flipped and bad-number mutants, at offsets spread to
+  // the end of the document.
+  Mutator mut(0xb16);
+  for (int i = 1; i <= 6; ++i) {
+    const std::size_t at = base.size() * static_cast<std::size_t>(i) / 7;
+    expect_file_reads_as_text(base.substr(0, at));
+    std::string flipped = base;
+    flipped[at] ^= static_cast<char>(1u << mut.below(8));
+    expect_file_reads_as_text(flipped);
+    std::string dotted = base;
+    const std::size_t ts = dotted.find("\"ts\":", at) + 5;
+    dotted.replace(ts, dotted.find_first_of(",}", ts) - ts, "1.2.3");
+    const TempTrace file(dotted);
+    EXPECT_EQ(analyze_trace_file(file.path()).errors,
+              analyze_trace_text(dotted).errors);
+    expect_file_reads_as_text(dotted);
+  }
+}
+
+// Paths that are not readable trace files fail as read_file fails: a
+// missing path and a directory with its I/O error, an empty file with the
+// parse error at byte 0.
+TEST(TraceFuzz, FileReaderKeepsTheInputErrors) {
+  const auto message = [](const auto& fn) -> std::string {
+    try {
+      fn();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const auto none = [](const TraceEvent&) {};
+  const TempTrace empty("");
+  for (const std::string& path :
+       {testing::TempDir() + "trace_fuzz_test-no-such.json",
+        testing::TempDir(), empty.path()}) {
+    const std::string want =
+        message([&] { read_trace(read_file(path), none); });
+    ASSERT_NE(want, "") << path;
+    EXPECT_EQ(message([&] { read_trace_file(path, none); }), want);
+  }
+  EXPECT_EQ(message([&] { read_trace_file(empty.path(), none); }),
+            "JSON parse error at byte 0: unexpected end of input");
 }
 
 TEST(TraceFuzz, EscapeEncodingNeverChangesTheOutputs) {

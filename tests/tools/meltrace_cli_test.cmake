@@ -10,8 +10,8 @@
 #     LogGP aliases (net.L_intra),
 #   * a malformed trace (truncated, with trailing garbage, a non-JSON
 #     number, or nesting past the parser's depth limit) fails every
-#     subcommand with the named parse error: `validate` exits 1, `replay`
-#     and `critical` exit 2,
+#     subcommand with the named parse error: `validate` exits 1, every
+#     other subcommand exits 2,
 #   * `--top K` must be a positive integer (exit 2 + usage pointer).
 # Invoked with -DMELSIM=<path> -DMELTRACE=<path>.
 if(NOT DEFINED MELSIM OR NOT DEFINED MELTRACE)
@@ -155,7 +155,13 @@ foreach(bad truncated garbage)
   run_fails("validate ${bad}" 1 "JSON parse error at byte" validate ${f})
   run_fails("replay ${bad}" 2 "JSON parse error at byte" replay ${f})
   run_fails("critical ${bad}" 2 "JSON parse error at byte" critical ${f})
-  run_fails("summarize ${bad}" 0 "JSON parse error at byte" summarize ${f})
+  run_fails("summarize ${bad}" 2 "JSON parse error at byte" summarize ${f})
+  run_fails("summarize json ${bad}" 2 "JSON parse error at byte"
+            summarize ${f} --json)
+  run_fails("matrix ${bad}" 2 "JSON parse error at byte" matrix ${f})
+  run_fails("diff ${bad} first" 2 "JSON parse error at byte" diff ${f} ${nsr})
+  run_fails("diff ${bad} second" 2 "JSON parse error at byte"
+            diff ${nsr} ${f})
 endforeach()
 run_fails("garbage offset" 2 "at byte ${nsr_len}: trailing garbage"
           replay ${workdir}/garbage.json)
@@ -185,7 +191,18 @@ foreach(bad dotted plus deep)
             replay ${f})
   run_fails("critical ${bad}" 2 "JSON parse error at byte [0-9]+: ${why}"
             critical ${f})
+  run_fails("summarize ${bad}" 2 "JSON parse error at byte [0-9]+: ${why}"
+            summarize ${f})
+  run_fails("matrix ${bad}" 2 "JSON parse error at byte [0-9]+: ${why}"
+            matrix ${f})
 endforeach()
+# A parseable trace with schema violations is still a report: summarize
+# lists the violations and exits 0, validate exits 1.
+file(WRITE ${workdir}/schema.json "{\"traceEvents\":[{\"ph\":\"X\"}]}")
+run_fails("summarize schema violation" 0 "event without a string name/ph"
+          summarize ${workdir}/schema.json)
+run_fails("validate schema violation" 1 "event without a string name/ph"
+          validate ${workdir}/schema.json)
 # A path that is not a regular file is an input error, not a parse error.
 run_fails("validate a directory" 2 "cannot read" validate ${workdir})
 

@@ -8,10 +8,15 @@
 //   meltrace critical run.trace.json [--top K] [--json]
 //
 // Every subcommand reads the trace through the one streaming reader
-// (obs::read_trace): a single pass over one exactly sized file buffer, no
-// DOM of the event array, and exactly json::parse's strictness — a
-// malformed document makes `validate` exit 1 and every other subcommand
-// exit 2 with the parse error and its byte offset.
+// (obs::read_trace_file): a single pass over the file mapped read-only,
+// whose pages are given back about every 1 MiB as the event array is
+// consumed, so peak RSS does not grow with the trace; no DOM of the event
+// array; exactly json::parse's strictness — a malformed document makes
+// `validate` exit 1 and every other subcommand exit 2 with the parse
+// error and its byte offset on stderr. A parseable trace with schema
+// violations is still a report: `summarize` lists them and exits 0. A
+// trace truncated by another process while it is read ends meltrace with
+// SIGBUS.
 //
 // `validate` exits nonzero on any schema violation or dangling flow id,
 // so CI can pipe melsim output straight through it. `matrix` prints the
@@ -83,6 +88,15 @@ int parse_top(const std::string& text) {
   return static_cast<int>(v);
 }
 
+/// The trace rollup behind summarize, matrix and diff. A trace that does
+/// not parse is an input error there (main() maps it to exit 2); only
+/// `validate` reports it as a violation.
+obs::TraceStats analyze_parsed(const std::string& path, int top_k = 10) {
+  obs::TraceStats stats = obs::analyze_trace_file(path, top_k);
+  if (stats.malformed) throw std::runtime_error(stats.errors.front());
+  return stats;
+}
+
 int cmd_validate(const std::vector<std::string>& args) {
   if (args.empty()) {
     std::fprintf(stderr, "meltrace validate: missing TRACE\n");
@@ -142,7 +156,7 @@ int cmd_summarize(const std::vector<std::string>& args) {
       return 2;
     }
   }
-  const obs::TraceStats stats = obs::analyze_trace_file(args[0], top_k);
+  const obs::TraceStats stats = analyze_parsed(args[0], top_k);
   if (as_json) {
     std::printf("%s\n", obs::summarize_json(stats).c_str());
   } else {
@@ -335,7 +349,7 @@ int cmd_matrix(const std::vector<std::string>& args) {
     std::fprintf(stderr, "meltrace matrix: expected exactly one TRACE\n");
     return 2;
   }
-  const obs::TraceStats stats = obs::analyze_trace_file(args[0]);
+  const obs::TraceStats stats = analyze_parsed(args[0]);
   std::printf("%s\n", obs::matrix_json(stats.to_comm_matrix()).c_str());
   return 0;
 }
@@ -345,8 +359,8 @@ int cmd_diff(const std::vector<std::string>& args) {
     std::fprintf(stderr, "meltrace diff: expected exactly two traces\n");
     return 2;
   }
-  const obs::TraceStats a = obs::analyze_trace_file(args[0]);
-  const obs::TraceStats b = obs::analyze_trace_file(args[1]);
+  const obs::TraceStats a = analyze_parsed(args[0]);
+  const obs::TraceStats b = analyze_parsed(args[1]);
   std::printf("%s", obs::diff(a, b, args[0], args[1]).c_str());
   return 0;
 }
